@@ -87,10 +87,11 @@ void PrintHistCacheTable() {
     Random rnd(9);
     util::WorkloadGenerator gen(Spec());
     for (int i = 0; i < 100; ++i) {
-      auto it = f.tree->NewHistoryIterator(
-          gen.KeyFor(rnd.Uniform(gen.spec().num_ops / 4)));
-      it->SeekToNewest();
-      while (it->Valid()) it->Next();
+      const std::string key = gen.KeyFor(rnd.Uniform(gen.spec().num_ops / 4));
+      auto it =
+          f.tree->NewCursor(tsb_tree::ReadOptions{.as_of = kMaxCommittedTs});
+      it->Seek(key);
+      while (it->Valid() && it->key() == Slice(key)) it->NextVersion();
     }
     printf("%8zu | %12llu %12llu | %14.0f\n", blobs,
            (unsigned long long)f.tree->hist_store()->cache_hits(),

@@ -25,13 +25,15 @@
 #include "common/random.h"
 #include "storage/file_device.h"
 #include "tsb/cursor.h"
+#include "tsb/data_page.h"
+#include "tsb/index_page.h"
 #include "wobt/wobt_tree.h"
 
 // ---- binary-wide allocation counter ----
 // Counts every operator-new call so the historical as-of section can
 // report allocations per lookup: the zero-copy read path must show ~0 on
-// the cache-hit path, the legacy owning-decode baseline shows the per-
-// entry materialization cost.
+// the cache-hit path, the owning-decode baseline shows the per-entry
+// materialization cost.
 //
 // All replacement news below are malloc/aligned_alloc-backed, so free()
 // in the deletes is correct; GCC's pairing heuristic cannot see that.
@@ -165,7 +167,7 @@ void PrintIoTable() {
     for (int i = 0; i < 1000; ++i) {
       const std::string k = f.KeyAt(rnd.Next());
       const Timestamp t = 1 + rnd.Uniform(kOps / 4);  // oldest quarter
-      f.tsb.tree->GetAsOf(k, t, &v);
+      f.tsb.tree->Get(tsb_tree::ReadOptions{.as_of = t}, k, &v);
       f.wobt->GetAsOf(k, t, &v);
       f.bpt->Get(k, &v);  // B+ has no history: current read for contrast
     }
@@ -173,9 +175,10 @@ void PrintIoTable() {
   run("version-history scans", [&] {
     for (int i = 0; i < 100; ++i) {
       const std::string k = f.KeyAt(rnd.Next());
-      auto it = f.tsb.tree->NewHistoryIterator(k);
-      it->SeekToNewest();
-      while (it->Valid()) it->Next();
+      auto it = f.tsb.tree->NewCursor(
+          tsb_tree::ReadOptions{.as_of = kMaxCommittedTs});
+      it->Seek(k);
+      while (it->Valid() && it->key() == Slice(k)) it->NextVersion();
       std::vector<std::pair<Timestamp, std::string>> versions;
       f.wobt->GetVersions(k, &versions);
     }
@@ -190,14 +193,93 @@ void PrintIoTable() {
 // Measures SearchPoint phase 2 on its cache-hit path (the shared-blob
 // cache is sized to the whole historical working set) and writes
 // BENCH_query.json: ops/sec and allocations per op for the zero-copy view
-// path and for the legacy owning-decode baseline (the pre-change read
-// path, kept behind TsbOptions::zero_copy_hist_reads = false).
+// path and for the owning-decode baseline below.
 
 struct HistAsOfResult {
   double ops_per_sec = 0;
   double allocs_per_op = 0;
   double cache_hit_ratio = 0;
 };
+
+// The owning-decode baseline: the historical read path before zero-copy
+// views, built here from public headers as the denominator of the
+// view-vs-owned gates. Phase 1 is the shared-latch-coupled descent of
+// TsbTree::SearchPoint (no root revalidation: nothing writes while the
+// bench reads). Phase 2 copies every visited historical node out of the
+// blob store and decodes all of its entries before searching them.
+Status OwnedDecodeGet(tsb_tree::TsbTree* tree, const Slice& key, Timestamp t,
+                      std::string* value) {
+  const uint32_t page_size = tree->options().page_size;
+  PageHandle parent_h;
+  uint32_t id = tree->root().page_id;
+  HistAddr addr;
+  for (;;) {
+    PageHandle h;
+    TSB_RETURN_IF_ERROR(tree->buffer_pool()->FetchShared(id, &h));
+    parent_h.Release();
+    if (tsb_tree::TsbPageLevel(h.data()) == 0) {
+      tsb_tree::DataPageRef page(h.data(), page_size);
+      const int pos = page.FindVersion(key, t);
+      if (pos < 0) return Status::NotFound("no version at time");
+      tsb_tree::DataEntryView v;
+      TSB_RETURN_IF_ERROR(page.At(pos, &v));
+      value->assign(v.value.data(), v.value.size());
+      return Status::OK();
+    }
+    tsb_tree::IndexPageRef page(h.data(), page_size);
+    const int idx = page.FindContaining(key, t);
+    if (idx < 0) return Status::NotFound("time precedes database");
+    tsb_tree::IndexEntryView e;
+    TSB_RETURN_IF_ERROR(page.AtView(idx, &e));
+    if (e.child.historical) {
+      addr = e.child.addr;
+      break;
+    }
+    id = e.child.page_id;
+    parent_h = std::move(h);  // hold the latch until the child is latched
+  }
+  for (;;) {
+    std::string blob;
+    TSB_RETURN_IF_ERROR(tree->hist_store()->Read(addr, &blob));
+    uint8_t level = 0;
+    TSB_RETURN_IF_ERROR(tsb_tree::HistNodeLevel(Slice(blob), &level));
+    if (level == 0) {
+      std::vector<tsb_tree::DataEntry> entries;
+      TSB_RETURN_IF_ERROR(tsb_tree::DecodeHistDataNode(Slice(blob), &entries));
+      const tsb_tree::DataEntry* best = nullptr;
+      for (const tsb_tree::DataEntry& de : entries) {
+        if (de.uncommitted()) continue;
+        if (Slice(de.key) == key && de.ts <= t) {
+          if (best == nullptr || de.ts > best->ts) best = &de;
+        }
+      }
+      if (best == nullptr) return Status::NotFound("no version at time");
+      *value = best->value;
+      return Status::OK();
+    }
+    std::vector<tsb_tree::IndexEntry> entries;
+    TSB_RETURN_IF_ERROR(
+        tsb_tree::DecodeHistIndexNode(Slice(blob), &level, &entries));
+    const tsb_tree::IndexEntry* next = nullptr;
+    for (const tsb_tree::IndexEntry& ie : entries) {
+      if (ie.Contains(key, t)) {
+        next = &ie;
+        break;
+      }
+    }
+    if (next == nullptr) return Status::NotFound("time precedes database");
+    if (!next->child.historical) {
+      return Status::Corruption("historical index references current node");
+    }
+    addr = next->child.addr;
+  }
+}
+
+// The library's copying as-of read, for the probe loops below.
+Status ViewGet(tsb_tree::TsbTree* tree, const Slice& key, Timestamp t,
+               std::string* value) {
+  return tree->Get(tsb_tree::ReadOptions{.as_of = t}, key, value);
+}
 
 // ---- cold-read fixtures: FileDevice-backed historical store ----
 //
@@ -272,7 +354,7 @@ ColdReadResult MeasureColdRead(
   std::string v;
   // First pass pays the one-time costs (CRC verification on the mmap
   // path, value capacity growth); the measured rounds are pure re-pins.
-  for (const auto& [k, t] : probes) tree->GetAsOf(k, t, &v);
+  for (const auto& [k, t] : probes) ViewGet(tree, k, t, &v);
   tree->hist_store()->ClearCache();
   const uint64_t allocs_before = g_alloc_count.load(std::memory_order_relaxed);
   const auto start = std::chrono::steady_clock::now();
@@ -280,7 +362,7 @@ ColdReadResult MeasureColdRead(
   for (int r = 0; r < rounds; ++r) {
     tree->hist_store()->ClearCache();  // no warmth across rounds
     for (const auto& [k, t] : probes) {
-      benchmark::DoNotOptimize(tree->GetAsOf(k, t, &v));
+      benchmark::DoNotOptimize(ViewGet(tree, k, t, &v));
       ++ops;
     }
   }
@@ -478,6 +560,12 @@ HistAsOfResult MeasureHistAsOfPinned(
   return r;
 }
 
+using GetFn = Status (*)(tsb_tree::TsbTree*, const Slice&, Timestamp,
+                         std::string*);
+
+// `get` (ViewGet or OwnedDecodeGet) is a template argument so each loop
+// calls its lookup directly, as the library call it replaces did.
+template <GetFn get>
 HistAsOfResult MeasureHistAsOf(
     tsb_tree::TsbTree* tree,
     const std::vector<std::pair<std::string, Timestamp>>& probes,
@@ -485,14 +573,14 @@ HistAsOfResult MeasureHistAsOf(
   std::string v;
   // Warmup populates the shared-blob cache; the measured loop then runs
   // entirely on cache hits.
-  for (const auto& [k, t] : probes) tree->GetAsOf(k, t, &v);
+  for (const auto& [k, t] : probes) get(tree, k, t, &v);
   const HistReadStats before_stats = tree->HistStats();
   const uint64_t allocs_before = g_alloc_count.load(std::memory_order_relaxed);
   const auto start = std::chrono::steady_clock::now();
   size_t ops = 0;
   for (int r = 0; r < rounds; ++r) {
     for (const auto& [k, t] : probes) {
-      benchmark::DoNotOptimize(tree->GetAsOf(k, t, &v));
+      benchmark::DoNotOptimize(get(tree, k, t, &v));
       ++ops;
     }
   }
@@ -519,9 +607,9 @@ void WriteHistAsOfJson() {
   topts.buffer_pool_frames = 1024;  // current axis fully resident
   topts.hist_cache_blobs = 4096;    // whole historical working set cached
   TsbFixture view_f = TsbFixture::Build(QuerySpec(), topts);
-  tsb_tree::TsbOptions owned_opts = topts;
-  owned_opts.zero_copy_hist_reads = false;
-  TsbFixture owned_f = TsbFixture::Build(QuerySpec(), owned_opts);
+  // The owned baseline reads its own copy of the tree, so neither path
+  // inherits the other's blob-cache and heap state.
+  TsbFixture owned_f = TsbFixture::Build(QuerySpec(), topts);
 
   // Probe set: deep-past as-of lookups that land on a version, so the
   // measured loop exercises full descents into historical data nodes.
@@ -540,7 +628,7 @@ void WriteHistAsOfJson() {
   for (int attempt = 0; attempt < 20000 && probes.size() < 512; ++attempt) {
     std::string k = gen.KeyFor(rnd.Uniform(keys));
     const Timestamp t = 1 + rnd.Uniform(kOps / 4);  // oldest quarter
-    if (view_f.tree->GetAsOf(k, t, &v).ok()) {
+    if (ViewGet(view_f.tree.get(), k, t, &v).ok()) {
       probes.emplace_back(std::move(k), t);
     }
   }
@@ -551,11 +639,12 @@ void WriteHistAsOfJson() {
   const int rounds =
       static_cast<int>(200000 / probes.size()) + 1;  // ~200k measured ops
 
-  const HistAsOfResult view = MeasureHistAsOf(view_f.tree.get(), probes, rounds);
+  const HistAsOfResult view =
+      MeasureHistAsOf<ViewGet>(view_f.tree.get(), probes, rounds);
   const HistAsOfResult pinned =
       MeasureHistAsOfPinned(view_f.tree.get(), probes, rounds);
   const HistAsOfResult owned =
-      MeasureHistAsOf(owned_f.tree.get(), probes, rounds);
+      MeasureHistAsOf<OwnedDecodeGet>(owned_f.tree.get(), probes, rounds);
   const double speedup =
       owned.ops_per_sec > 0 ? view.ops_per_sec / owned.ops_per_sec : 0;
   const double pinned_speedup =
@@ -808,7 +897,8 @@ void BM_TsbGetAsOfDeep(benchmark::State& state) {
   std::string v;
   for (auto _ : state) {
     const Timestamp t = 1 + rnd.Uniform(kOps / 4);
-    benchmark::DoNotOptimize(f.tsb.tree->GetAsOf(f.KeyAt(rnd.Next()), t, &v));
+    benchmark::DoNotOptimize(
+        ViewGet(f.tsb.tree.get(), f.KeyAt(rnd.Next()), t, &v));
   }
   state.SetItemsProcessed(state.iterations());
 }
@@ -830,7 +920,7 @@ void BM_TsbSnapshotScan(benchmark::State& state) {
   Fixtures& f = Fixtures::Get();
   const Timestamp t = state.range(0) == 0 ? kOps / 4 : kOps;  // old vs now
   for (auto _ : state) {
-    auto it = f.tsb.tree->NewSnapshotIterator(t);
+    auto it = f.tsb.tree->NewCursor(tsb_tree::ReadOptions{.as_of = t});
     it->SeekToFirst();
     size_t n = 0;
     while (it->Valid()) {

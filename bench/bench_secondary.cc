@@ -76,7 +76,7 @@ struct DbFixture {
 size_t BruteForceCount(db::MultiVersionDB* mvdb, const std::string& region,
                        Timestamp t) {
   size_t n = 0;
-  auto it = mvdb->NewSnapshotIterator(t);
+  auto it = mvdb->NewCursor(tsb_tree::ReadOptions{.as_of = t});
   it->SeekToFirst();
   while (it->Valid()) {
     auto r = ExtractRegion(it->value());
@@ -143,8 +143,8 @@ void BM_FindBySecondaryJoined(benchmark::State& state) {
   for (auto _ : state) {
     const std::string region =
         "region-" + std::to_string(rnd.Uniform(kRegions));
-    benchmark::DoNotOptimize(
-        f.mvdb->FindBySecondaryAsOf("by_region", region, f.mid, &kvs));
+    benchmark::DoNotOptimize(f.mvdb->FindBySecondary(
+        db::ReadOptions{.as_of = f.mid}, "by_region", region, &kvs));
   }
   state.SetItemsProcessed(state.iterations());
 }

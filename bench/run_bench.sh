@@ -2,7 +2,8 @@
 # Builds the benchmarks in Release mode and runs the query + concurrency
 # benches as a smoke test. bench_query writes BENCH_query.json (historical
 # as-of ops/sec and allocations per lookup for the zero-copy view path vs
-# the legacy owning-decode baseline, cold mmap reads, v3 node bytes, and
+# the owning-decode baseline that bench_query.cc rebuilds from the public
+# headers, the checksum-overhead ratio, cold mmap reads, v3 node bytes, and
 # the scan phase: forward/reverse snapshot scans — warm, old-snapshot and
 # cold — with entries/sec and allocs per emitted entry), which is copied
 # to the repo root for CI artifact upload. bench_concurrency writes

@@ -150,10 +150,13 @@ class ShardedDB {
   /// Applies `batch` atomically under ONE commit timestamp regardless of
   /// how many shards its keys span. Single-shard batches commit on that
   /// shard alone; multi-shard batches run the coordinator protocol (file
-  /// comment). Once this returns OK the batch is durably decided: it is
-  /// either already visible or (after a mid-commit shard failure)
-  /// invisible-but-pinned until Resume()/reopen completes it — readers
-  /// never observe a torn batch either way.
+  /// comment). Once this returns OK the batch is durably decided, but not
+  /// necessarily visible yet: the watermark publishes an ordered prefix of
+  /// commit timestamps, so while an earlier batch is still in flight a
+  /// reader that starts after this returns can be pinned below it. The
+  /// batch becomes visible once every earlier batch finishes — or, after
+  /// a mid-commit shard failure, once Resume()/reopen completes it.
+  /// Readers never observe a torn batch either way.
   Status Write(const WriteBatch& batch, Timestamp* commit_ts = nullptr);
 
   /// One record in its own commit (always single-shard).
@@ -166,7 +169,6 @@ class ShardedDB {
              std::string* value, Timestamp* ts = nullptr);
   Status Get(const ReadOptions& options, const Slice& key,
              PinnableValue* value);
-  Status Get(const Slice& key, std::string* value, Timestamp* ts = nullptr);
 
   /// K-way merging cursor over all shards, pinned at one resolved as-of
   /// time (see shard/sharded_cursor.h).

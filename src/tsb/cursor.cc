@@ -348,11 +348,11 @@ Status VersionCursor::ReadFrameEntry(Frame& f, int cell, NodeRef* child,
 
 Status VersionCursor::Advance() {
   // Liveness: invalidation restarts are optimistic a bounded number of
-  // times, then the walk quiesces the writer (like ScanHistoryRange's
-  // final attempt) for the remainder of this Advance — with writer_mu_
-  // held no page version can move, so the rebuilt stack validates and
-  // the call is guaranteed to emit or conclude. The lock drops when
-  // Advance returns; user-paced iteration never holds it.
+  // times, then the walk quiesces the writer for the remainder of this
+  // Advance — with writer_mu_ held no page version can move, so the
+  // rebuilt stack validates and the call is guaranteed to emit or
+  // conclude. The lock drops when Advance returns; user-paced iteration
+  // never holds it.
   constexpr int kOptimisticRestarts = 4;
   int restarts = 0;
   std::unique_lock<std::shared_mutex> quiesce(tree_->writer_mu_, std::defer_lock);
@@ -498,37 +498,6 @@ Status VersionCursor::ProbeVersion(Timestamp t) {
   ts_ = got_ts;
   valid_ = true;
   return Status::OK();
-}
-
-// ---------------------------------------------------------------- shims
-
-HistoryIterator::HistoryIterator(TsbTree* tree, const Slice& key)
-    : tree_(tree), key_(key.ToString()) {}
-
-Status HistoryIterator::SeekToNewest() { return Probe(kMaxCommittedTs); }
-
-Status HistoryIterator::Probe(Timestamp t) {
-  ReadOptions options;
-  options.as_of = t;
-  Timestamp got_ts = 0;
-  Status s = tree_->Get(options, Slice(key_), &value_, &got_ts);
-  if (s.IsNotFound()) {
-    valid_ = false;
-    return Status::OK();
-  }
-  TSB_RETURN_IF_ERROR(s);
-  ts_ = got_ts;
-  valid_ = true;
-  return Status::OK();
-}
-
-Status HistoryIterator::Next() {
-  if (!valid_) return Status::InvalidArgument("Next on invalid iterator");
-  if (ts_ <= 1) {
-    valid_ = false;
-    return Status::OK();
-  }
-  return Probe(ts_ - 1);
 }
 
 }  // namespace tsb_tree

@@ -145,8 +145,7 @@ void SerializeHistDataNode(const std::vector<DataEntry>& entries,
                            uint32_t restart_interval = kHistRestartInterval);
 
 /// Serializes the legacy v1 wire format (no slot directory). Kept for
-/// compatibility tests; new nodes are written as v2 or v3 (see
-/// TsbOptions::hist_node_format).
+/// compatibility tests; the tree writes new nodes as v3.
 void SerializeHistDataNodeV1(const std::vector<DataEntry>& entries,
                              std::string* out);
 

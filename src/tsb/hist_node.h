@@ -34,9 +34,8 @@
 // HistNodeRef parses all versions; v2/v3 need O(1) setup, v1 falls back to
 // one linear walk that builds a per-node offset table. Historical nodes
 // are written exactly once (consolidation), which is why the heavier
-// one-shot v3 encoding costs nothing on the write path. The write format
-// is selected per tree via TsbOptions::hist_node_format; every version
-// remains decodable forever.
+// one-shot v3 encoding costs nothing on the write path. The tree always
+// writes v3; every version remains decodable forever.
 #ifndef TSBTREE_TSB_HIST_NODE_H_
 #define TSBTREE_TSB_HIST_NODE_H_
 

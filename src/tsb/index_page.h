@@ -179,7 +179,7 @@ void SerializeHistIndexNode(uint8_t level, const std::vector<IndexEntry>& entrie
                             uint32_t restart_interval = kHistRestartInterval);
 
 /// Serializes the legacy v1 wire format. Kept for compatibility tests;
-/// new nodes are written as v2 or v3 (see TsbOptions::hist_node_format).
+/// the tree writes new nodes as v3.
 void SerializeHistIndexNodeV1(uint8_t level,
                               const std::vector<IndexEntry>& entries,
                               std::string* out);

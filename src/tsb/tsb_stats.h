@@ -60,9 +60,9 @@ struct TsbCounters {
 };
 
 /// Space snapshot computed by walking the tree (see
-/// TsbTree::ComputeSpaceStats). Magnetic numbers come from the pager,
-/// optical numbers from the append store, logical/physical version counts
-/// from a DAG walk.
+/// TsbTree::ComputeSpaceStats). Magnetic numbers come from the pager, the
+/// optical device size from the append store, historical node counts and
+/// payload bytes plus logical/physical version counts from a DAG walk.
 struct SpaceStats {
   uint64_t magnetic_pages = 0;
   uint64_t magnetic_bytes = 0;       ///< pages * page_size (allocated)

@@ -550,10 +550,7 @@ Status TsbTree::SearchPoint(const Slice& key, Timestamp t, TxnId txn,
     // no latches are needed past this point.
     const HistAddr addr = e.child.addr;
     h.Release();
-    if (options_.zero_copy_hist_reads) {
-      return SearchHistPoint(addr, key, t, hints, sink);
-    }
-    return SearchHistPointOwned(addr, key, t, sink);
+    return SearchHistPoint(addr, key, t, hints, sink);
   }
 }
 
@@ -610,50 +607,6 @@ Status TsbTree::SearchHistPoint(HistAddr addr, const Slice& key, Timestamp t,
   }
 }
 
-Status TsbTree::SearchHistPointOwned(HistAddr addr, const Slice& key,
-                                     Timestamp t, const PointSink& sink) {
-  for (;;) {
-    std::string blob;
-    TSB_RETURN_IF_ERROR(hist_->Read(addr, &blob));
-    hist_decodes_.owned_decodes.fetch_add(1, std::memory_order_relaxed);
-    uint8_t level = 0;
-    TSB_RETURN_IF_ERROR(HistNodeLevel(Slice(blob), &level));
-    if (level == 0) {
-      std::vector<DataEntry> entries;
-      TSB_RETURN_IF_ERROR(DecodeHistDataNode(Slice(blob), &entries));
-      const DataEntry* best = nullptr;
-      for (const DataEntry& de : entries) {
-        if (de.uncommitted()) continue;
-        if (Slice(de.key) == key && de.ts <= t) {
-          if (best == nullptr || de.ts > best->ts) best = &de;
-        }
-      }
-      if (best == nullptr) return Status::NotFound("no version at time");
-      if (sink.pinned != nullptr) {
-        sink.pinned->SetCopied(Slice(best->value), best->ts);
-      } else {
-        *sink.value = best->value;
-      }
-      if (sink.ts != nullptr) *sink.ts = best->ts;
-      return Status::OK();
-    }
-    std::vector<IndexEntry> entries;
-    TSB_RETURN_IF_ERROR(DecodeHistIndexNode(Slice(blob), &level, &entries));
-    const IndexEntry* next = nullptr;
-    for (const IndexEntry& ie : entries) {
-      if (ie.Contains(key, t)) {
-        next = &ie;
-        break;
-      }
-    }
-    if (next == nullptr) return Status::NotFound("time precedes database");
-    if (!next->child.historical) {
-      return Status::Corruption("historical index references current node");
-    }
-    addr = next->child.addr;
-  }
-}
-
 // ---------------------------------------------------------------- reads
 
 Status TsbTree::Get(const ReadOptions& options, const Slice& key,
@@ -690,16 +643,6 @@ Status TsbTree::GetCurrent(const Slice& key, std::string* value,
   // by a commit that has not published yet.
   ReadOptions options;
   options.as_of = kMaxCommittedTs;
-  return Get(options, key, value, ts);
-}
-
-Status TsbTree::GetAsOf(const Slice& key, Timestamp t, std::string* value,
-                        Timestamp* ts) {
-  if (t > kMaxCommittedTs) {
-    return Status::InvalidArgument("as-of time out of range");
-  }
-  ReadOptions options;
-  options.as_of = t;
   return Get(options, key, value, ts);
 }
 
@@ -1114,7 +1057,7 @@ Status TsbTree::SplitDataPage(const std::vector<PathElem>& path) {
           key_bytes);
       std::string blob;
       uint64_t raw_bytes = 0;
-      SerializeHistDataNode(hist_set, &blob, options_.hist_node_format,
+      SerializeHistDataNode(hist_set, &blob, HistNodeFormat::kV3,
                             &raw_bytes, interval);
       HistAddr addr;
       TSB_RETURN_IF_ERROR(AppendHistNode(blob, raw_bytes, &addr));
@@ -1158,9 +1101,6 @@ Status TsbTree::SplitDataPage(const std::vector<PathElem>& path) {
           return Status::Corruption("parent lost reserved space");
         }
         parent_h.MarkDirty();
-        // Bump the epoch BEFORE dropping the latches: a reader that can
-        // observe the new structure must also observe the new epoch.
-        structure_epoch_.fetch_add(1, std::memory_order_acq_rel);
       }
       counters_.data_time_splits++;
       counters_.hist_data_nodes++;
@@ -1269,8 +1209,6 @@ Status TsbTree::SplitDataPage(const std::vector<PathElem>& path) {
       return Status::Corruption("parent lost reserved space (key split)");
     }
     parent_h.MarkDirty();
-    // Epoch bump inside the latch scope (see time-split comment).
-    structure_epoch_.fetch_add(1, std::memory_order_acq_rel);
   }
   counters_.data_key_splits++;
   return Status::OK();
@@ -1294,9 +1232,6 @@ Status TsbTree::GrowRoot() {
     return Status::Corruption("fresh root cannot hold one entry");
   }
   h.MarkDirty();
-  // Epoch first, then the root pointer: a reader that sees the new root
-  // must also see the new epoch.
-  structure_epoch_.fetch_add(1, std::memory_order_acq_rel);
   root_.store(h.id(), std::memory_order_release);
   height_.fetch_add(1, std::memory_order_acq_rel);
   counters_.root_grows++;
@@ -1458,8 +1393,6 @@ Status TsbTree::SplitIndexPage(const std::vector<PathElem>& path, size_t idx) {
       return Status::Corruption("index key split: parent lost space");
     }
     parent_h.MarkDirty();
-    // Epoch bump inside the latch scope (see time-split comment).
-    structure_epoch_.fetch_add(1, std::memory_order_acq_rel);
   }
   counters_.index_key_splits++;
   counters_.redundant_index_copies += dupes;
@@ -1499,8 +1432,8 @@ Status TsbTree::TimeSplitIndexPage(const std::vector<PathElem>& path,
       key_bytes);
   std::string blob;
   uint64_t raw_bytes = 0;
-  SerializeHistIndexNode(level, hist_entries, &blob,
-                         options_.hist_node_format, &raw_bytes, interval);
+  SerializeHistIndexNode(level, hist_entries, &blob, HistNodeFormat::kV3,
+                         &raw_bytes, interval);
   HistAddr addr;
   TSB_RETURN_IF_ERROR(AppendHistNode(blob, raw_bytes, &addr));
 
@@ -1531,8 +1464,6 @@ Status TsbTree::TimeSplitIndexPage(const std::vector<PathElem>& path,
       return Status::Corruption("index time split: parent lost space");
     }
     parent_h.MarkDirty();
-    // Epoch bump inside the latch scope (see time-split comment).
-    structure_epoch_.fetch_add(1, std::memory_order_acq_rel);
   }
   counters_.index_time_splits++;
   counters_.hist_index_nodes++;
@@ -1627,8 +1558,6 @@ Status TsbTree::ComputeSpaceStats(SpaceStats* out) {
   out->magnetic_pages = pager_->live_pages();
   out->magnetic_bytes = pager_->live_bytes();
   out->leaked_free_pages = pager_->leaked_free_pages();
-  out->optical_payload_bytes = hist_->payload_bytes();
-  out->hist_nodes = hist_->blob_count();
   auto* worm = dynamic_cast<WormDevice*>(hist_->device());
   out->optical_device_bytes =
       (worm != nullptr) ? worm->sectors_burned() * worm->sector_size()
@@ -1637,6 +1566,10 @@ Status TsbTree::ComputeSpaceStats(SpaceStats* out) {
   std::vector<std::pair<std::string, Timestamp>> versions;
   std::vector<HistAddr> seen_hist;
   TSB_RETURN_IF_ERROR(WalkStats(root(), out, &versions, &seen_hist));
+  // Historical totals come from the walk, not the store's append
+  // counters: those restart at zero with every reopen.
+  out->hist_nodes = seen_hist.size();
+  for (const HistAddr& a : seen_hist) out->optical_payload_bytes += a.length;
   std::sort(versions.begin(), versions.end());
   versions.erase(std::unique(versions.begin(), versions.end()),
                  versions.end());
@@ -1675,171 +1608,33 @@ Status TsbTree::ScanHistoryRange(const Slice& key_lo, const Slice& key_hi,
                                  std::vector<VersionRecord>* out) {
   out->clear();
   if (t_lo >= t_hi) return Status::OK();
-  // The walk holds no latch across levels; instead every CURRENT index
-  // page stays pinned while its subtrees are visited and its per-frame
-  // mutation counter is revalidated after each child (see
-  // ScanHistoryRangeRec) — far finer-grained than the old whole-tree
-  // structure-epoch check, which restarted the scan on ANY split anywhere.
-  // Two escalations remain: a page that will not stabilize reports Busy,
-  // and a root swap mid-walk means entries may have moved to a page only
-  // reachable from the NEW root. Both retry the walk; the final attempt
-  // quiesces every mutator via the exclusive writer lock. The accumulator
-  // persists across attempts: each emission is a committed version decoded
-  // consistently under a latch, and the (key, ts) keying dedups re-visits,
-  // so earlier partial walks only save work.
-  constexpr int kOptimisticScanAttempts = 4;
-  std::map<std::pair<std::string, Timestamp>, std::string> acc;
-  std::vector<HistAddr> seen;
-  for (int attempt = 0; attempt <= kOptimisticScanAttempts; ++attempt) {
-    const bool quiesce = attempt == kOptimisticScanAttempts;
-    std::unique_lock<std::shared_mutex> wl(writer_mu_, std::defer_lock);
-    if (quiesce) wl.lock();
-    const NodeRef scan_root = root();
-    Status s = ScanHistoryRangeRec(scan_root, key_lo, key_hi, t_lo, t_hi,
-                                   &acc, &seen);
-    if (s.IsBusy()) continue;
-    TSB_RETURN_IF_ERROR(s);
-    if (!quiesce &&
-        root_.load(std::memory_order_acquire) != scan_root.page_id) {
-      continue;
+  // A cursor pinned at the window's last instant visits every key written
+  // in the window (versions are never removed, so each such key has a
+  // version then); NextVersion walks each key's past down to t_lo. The
+  // as-of state is immutable, so concurrent splits cost only the cursor's
+  // own revalidation re-seeks.
+  ReadOptions options;
+  options.as_of = std::min(t_hi - 1, kMaxCommittedTs);
+  VersionCursor c(this, options);
+  TSB_RETURN_IF_ERROR(key_hi.empty() ? c.Seek(key_lo)
+                                     : c.SeekRange(key_lo, key_hi));
+  while (c.Valid()) {
+    // The time axis runs newest first; reverse each key's run so the
+    // output stays in (key, ts) order.
+    const size_t run = out->size();
+    while (c.Valid() && c.ts() >= t_lo) {
+      out->push_back(
+          VersionRecord{c.key().ToString(), c.ts(), c.value().ToString()});
+      TSB_RETURN_IF_ERROR(c.NextVersion());
     }
-    out->reserve(acc.size());
-    for (auto& [kt, value] : acc) {
-      out->push_back(VersionRecord{kt.first, kt.second, std::move(value)});
-    }
-    return Status::OK();
-  }
-  return Status::Corruption("unreachable: quiesced scan did not return");
-}
-
-Status TsbTree::ScanHistoryRangeRec(
-    const NodeRef& ref, const Slice& key_lo, const Slice& key_hi,
-    Timestamp t_lo, Timestamp t_hi,
-    std::map<std::pair<std::string, Timestamp>, std::string>* acc,
-    std::vector<HistAddr>* seen) {
-  if (ref.historical) {
-    for (const HistAddr& a : *seen) {
-      if (a == ref.addr) return Status::OK();  // DAG: visit each node once
-    }
-    seen->push_back(ref.addr);
-    // Historical nodes scan zero-copy over the pinned blob: only entries
-    // matching the window are materialized into the accumulator; the
-    // dispatch keeps the pin alive across the recursion into children.
-    // Range scans advise sequential access so the mapping gets readahead.
-    BlobReadHints scan_hints;
-    scan_hints.sequential = true;
-    return DispatchHistNode(
-        hist_.get(), &hist_decodes_, ref.addr,
-        [&](BlobHandle&, HistDataNodeRef& node) -> Status {
-          for (int i = 0; i < node.Count(); ++i) {
-            DataEntryView v;
-            TSB_RETURN_IF_ERROR(node.At(i, &v));
-            if (v.uncommitted()) continue;
-            if (v.ts < t_lo || v.ts >= t_hi) continue;
-            if (v.key < key_lo) continue;
-            if (!key_hi.empty() && v.key >= key_hi) continue;
-            acc->emplace(std::make_pair(v.key.ToString(), v.ts),
-                         v.value.ToString());
-          }
-          return Status::OK();
-        },
-        [&](BlobHandle&, HistIndexNodeRef& node) -> Status {
-          for (int i = 0; i < node.Count(); ++i) {
-            IndexEntryView e;
-            TSB_RETURN_IF_ERROR(node.AtView(i, &e));
-            if (e.t_hi <= t_lo || e.t_lo >= t_hi) continue;
-            if (e.min_ts >= t_hi) continue;  // content floor past the window
-            if (!key_hi.empty() && e.key_lo >= key_hi) continue;
-            if (!e.key_hi_inf && e.key_hi <= key_lo) continue;
-            // The recursion only needs the POD child ref; the view itself
-            // dies at the next AtView.
-            const NodeRef child = e.child;
-            TSB_RETURN_IF_ERROR(ScanHistoryRangeRec(child, key_lo, key_hi,
-                                                    t_lo, t_hi, acc, seen));
-          }
-          return Status::OK();
-        },
-        scan_hints);
-  }
-  // Current page. Leaves decode under a brief shared latch and emit their
-  // matching entries. Index pages also decode under a brief latch, then
-  // keep only the PIN while recursing into children; after each child the
-  // frame's mutation counter is revalidated — a change means a split may
-  // have moved entries into a sibling this snapshot of the page does not
-  // reference yet, so the page is re-read and its loop restarts (the
-  // (key, ts)-keyed accumulator and the historical-node dedup make
-  // re-visits idempotent). A page that never stabilizes reports
-  // Status::Busy and the top-level caller escalates to a quiesced walk.
-  PageHandle h;
-  TSB_RETURN_IF_ERROR(pool_->FetchShared(ref.page_id, &h));
-  if (TsbPageLevel(h.data()) == 0) {
-    DataPageRef page(h.data(), options_.page_size);
-    std::vector<DataEntry> data;
-    TSB_RETURN_IF_ERROR(page.DecodeAll(&data));
-    h.Release();
-    for (const DataEntry& e : data) {
-      if (e.uncommitted()) continue;
-      if (e.ts < t_lo || e.ts >= t_hi) continue;
-      if (Slice(e.key) < key_lo) continue;
-      if (!key_hi.empty() && Slice(e.key) >= key_hi) continue;
-      acc->emplace(std::make_pair(e.key, e.ts), e.value);
-    }
-    return Status::OK();
-  }
-  IndexPageRef page(h.data(), options_.page_size);
-  std::vector<IndexEntry> index;
-  TSB_RETURN_IF_ERROR(page.DecodeAll(&index));
-  uint64_t ver = h.version();
-  h.Unlatch();  // keep the pin: the frame cannot be evicted or reloaded
-  constexpr int kMaxPageRereads = 8;
-  int rereads = 0;
-  size_t i = 0;
-  while (i < index.size()) {
-    const IndexEntry& e = index[i];
-    // Prune subtrees whose rectangle misses the query window. This is
-    // complete: every version lives in at least one data node whose time
-    // range CONTAINS its write time (time splits partition by write time;
-    // the rule-3 redundant copies elsewhere are duplicates removed by the
-    // (key, ts) deduplication).
-    const bool pruned = e.t_hi <= t_lo || e.t_lo >= t_hi ||
-                        e.min_ts >= t_hi ||  // content floor past the window
-                        (!key_hi.empty() && Slice(e.key_lo) >= key_hi) ||
-                        (!e.key_hi_inf && Slice(e.key_hi) <= key_lo);
-    if (!pruned) {
-      TSB_RETURN_IF_ERROR(ScanHistoryRangeRec(e.child, key_lo, key_hi, t_lo,
-                                              t_hi, acc, seen));
-    }
-    ++i;
-    if (h.version() != ver) {
-      if (++rereads > kMaxPageRereads) {
-        return Status::Busy("current index page would not stabilize");
-      }
-      h.LatchShared();
-      IndexPageRef repage(h.data(), options_.page_size);
-      index.clear();
-      Status ds = repage.DecodeAll(&index);
-      ver = h.version();
-      h.Unlatch();
-      TSB_RETURN_IF_ERROR(ds);
-      i = 0;
-    }
+    std::reverse(out->begin() + run, out->end());
+    TSB_RETURN_IF_ERROR(c.Next());
   }
   return Status::OK();
 }
 
 std::unique_ptr<VersionCursor> TsbTree::NewCursor(const ReadOptions& options) {
   return std::make_unique<VersionCursor>(this, options);
-}
-
-std::unique_ptr<SnapshotIterator> TsbTree::NewSnapshotIterator(Timestamp t) {
-  ReadOptions options;
-  options.as_of = t;
-  return NewCursor(options);
-}
-
-std::unique_ptr<HistoryIterator> TsbTree::NewHistoryIterator(
-    const Slice& key) {
-  return std::make_unique<HistoryIterator>(this, key);
 }
 
 }  // namespace tsb_tree

@@ -11,15 +11,19 @@
 //    transactions never goes backwards (commit order = timestamp order);
 //  - snapshot iteration at T yields strictly increasing keys, each with
 //    version timestamp <= T, even when splits restructure the tree mid
-//    scan.
+//    scan;
+//  - a history-range scan over a window below the watermark returns the
+//    same records no matter what concurrent writers split meanwhile.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <memory>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include "db/multiversion_db.h"
@@ -59,10 +63,12 @@ struct Fixture {
   MemDevice optical{DeviceKind::kOpticalErasable, CostParams::OpticalWorm()};
   std::unique_ptr<db::MultiVersionDB> db;
 
-  explicit Fixture(uint32_t page_size = 1024, size_t frames = 64) {
+  explicit Fixture(uint32_t page_size = 1024, size_t frames = 64,
+                   bool concurrent_writers = false) {
     db::DbOptions options;
     options.tree.page_size = page_size;
     options.tree.buffer_pool_frames = frames;
+    options.tree.concurrent_writers = concurrent_writers;
     Status s = db::MultiVersionDB::Open(&magnetic, &optical, options, &db);
     EXPECT_TRUE(s.ok()) << s.ToString();
   }
@@ -158,7 +164,7 @@ TEST(ConcurrencyTest, SnapshotScansStayExactUnderConcurrentSplits) {
     scanners.emplace_back([&] {
       while (!stop.load(std::memory_order_acquire) && !failed.load()) {
         txn::ReadTransaction snap = f.db->BeginReadOnly();
-        auto it = snap.NewIterator();
+        auto it = snap.NewCursor();
         Status s = it->SeekToFirst();
         int count = 0;
         std::string prev_key;
@@ -200,6 +206,139 @@ TEST(ConcurrencyTest, SnapshotScansStayExactUnderConcurrentSplits) {
 
   EXPECT_FALSE(failed.load());
   EXPECT_GT(scans_done.load(), 0u);
+}
+
+using VersionRecords = std::vector<tsb_tree::TsbTree::VersionRecord>;
+
+bool SameRecords(const VersionRecords& a, const VersionRecords& b) {
+  if (a.size() != b.size()) return false;
+  for (size_t i = 0; i < a.size(); ++i) {
+    if (std::tie(a[i].key, a[i].ts, a[i].value) !=
+        std::tie(b[i].key, b[i].ts, b[i].value)) {
+      return false;
+    }
+  }
+  return true;
+}
+
+// History-range scans over windows that lie entirely below the watermark
+// sampled before any writer starts: while three concurrent writers
+// key-split and time-split the pages underneath (updating old keys and
+// inserting new ones between them), every scan must equal the oracle
+// built from the commit log before the writers began.
+TEST(ConcurrencyTest, HistoryRangeScansStayExactUnderConcurrentWriters) {
+  Fixture f(/*page_size=*/512, /*frames=*/64, /*concurrent_writers=*/true);
+  constexpr int kKeys = 60;
+  constexpr int kSeedRounds = 6;
+  constexpr int kWriters = 3;
+  constexpr int kOpsPerWriter = 300;
+  constexpr int kMaxOpsPerWriter = 20 * kOpsPerWriter;
+  constexpr uint64_t kMinScans = 40;
+  constexpr int kScanners = 2;
+  tsb_tree::TsbTree* tree = f.db->primary();
+
+  // (key, ts, value) commit log of the seed phase, in (key, ts) order.
+  std::vector<std::tuple<std::string, Timestamp, std::string>> log;
+  for (int round = 0; round < kSeedRounds; ++round) {
+    for (int i = 0; i < kKeys; ++i) {
+      Timestamp ts = 0;
+      const std::string value = ValueOf(KeyOf(i), round);
+      ASSERT_TRUE(f.db->Put(KeyOf(i), value, &ts).ok());
+      log.emplace_back(KeyOf(i), ts, value);
+    }
+  }
+  std::sort(log.begin(), log.end());
+  const Timestamp watermark = tree->VisibleNow();
+
+  struct Window {
+    std::string key_lo, key_hi;  // key_hi empty = unbounded
+    Timestamp t_lo, t_hi;
+  };
+  const std::vector<Window> windows = {
+      {"", "", 0, watermark + 1},
+      {KeyOf(10), KeyOf(40), watermark / 3, 2 * watermark / 3},
+      {KeyOf(45), "", watermark / 2, watermark + 1},
+  };
+  std::vector<VersionRecords> oracle(windows.size());
+  for (size_t w = 0; w < windows.size(); ++w) {
+    const Window& win = windows[w];
+    for (const auto& [key, ts, value] : log) {
+      if (key < win.key_lo || (!win.key_hi.empty() && key >= win.key_hi) ||
+          ts < win.t_lo || ts >= win.t_hi) {
+        continue;
+      }
+      oracle[w].push_back({key, ts, value});
+    }
+    ASSERT_FALSE(oracle[w].empty());
+    VersionRecords quiet;
+    ASSERT_TRUE(tree->ScanHistoryRange(win.key_lo, win.key_hi, win.t_lo,
+                                       win.t_hi, &quiet)
+                    .ok());
+    ASSERT_TRUE(SameRecords(oracle[w], quiet)) << "window " << w;
+  }
+  const uint64_t key_splits_before = tree->counters().data_key_splits;
+  const uint64_t time_splits_before = tree->counters().data_time_splits;
+
+  std::atomic<bool> stop{false};
+  std::atomic<bool> failed{false};
+  std::atomic<uint64_t> scans_done{0};
+  // Writers start first and keep writing until the scanners have finished
+  // kMinScans scans, so every counted scan runs beside them.
+  std::vector<std::thread> writers;
+  for (int wid = 0; wid < kWriters; ++wid) {
+    writers.emplace_back([&, wid] {
+      uint64_t rng = 0x9E3779B97F4A7C15ull * (wid + 1);
+      for (int i = 0; i < kMaxOpsPerWriter && !failed.load(); ++i) {
+        if (i >= kOpsPerWriter &&
+            scans_done.load(std::memory_order_relaxed) >= kMinScans) {
+          break;
+        }
+        rng = rng * 6364136223846793005ull + 1442695040888963407ull;
+        // Even ops add a version to a seeded key (time splits); odd ops
+        // insert a new key between seeded ones (key splits). Each writer
+        // owns every kWriters-th seeded key, so writers never conflict.
+        const int k = wid + kWriters * static_cast<int>((rng >> 33) %
+                                                        (kKeys / kWriters));
+        std::string key = KeyOf(k);
+        if (i % 2 == 1) {
+          key += "+" + std::to_string(wid) + "." + std::to_string(i);
+        }
+        Status s = f.db->Put(key, ValueOf(key, 100 + i));
+        if (!s.ok()) {
+          ADD_FAILURE() << "writer Put failed: " << s.ToString();
+          failed.store(true);
+          return;
+        }
+      }
+    });
+  }
+  std::vector<std::thread> scanners;
+  for (int r = 0; r < kScanners; ++r) {
+    scanners.emplace_back([&, r] {
+      size_t w = static_cast<size_t>(r);
+      while (!stop.load(std::memory_order_acquire) && !failed.load()) {
+        const Window& win = windows[w % windows.size()];
+        VersionRecords got;
+        Status s = tree->ScanHistoryRange(win.key_lo, win.key_hi, win.t_lo,
+                                          win.t_hi, &got);
+        if (!s.ok() || !SameRecords(oracle[w % windows.size()], got)) {
+          failed.store(true);
+          break;
+        }
+        scans_done.fetch_add(1, std::memory_order_relaxed);
+        ++w;
+      }
+    });
+  }
+
+  for (auto& t : writers) t.join();
+  stop.store(true, std::memory_order_release);
+  for (auto& t : scanners) t.join();
+
+  EXPECT_FALSE(failed.load());
+  EXPECT_GE(scans_done.load(), kMinScans);
+  EXPECT_GT(tree->counters().data_key_splits, key_splits_before);
+  EXPECT_GT(tree->counters().data_time_splits, time_splits_before);
 }
 
 // Reverse scans ride the same pinned-frame machinery as forward ones:
@@ -389,7 +528,7 @@ TEST(ConcurrencyTest, ConcurrentUpdatersConflictCleanly) {
   for (int i = 0; i < kKeys; ++i) {
     std::string value, key;
     uint64_t seq = 0;
-    Status s = f.db->Get(KeyOf(i), &value);
+    Status s = f.db->Get(db::ReadOptions(), KeyOf(i), &value);
     if (s.IsNotFound()) continue;
     ASSERT_TRUE(s.ok()) << s.ToString();
     EXPECT_TRUE(DecodeValue(value, &key, &seq));

@@ -48,7 +48,7 @@ TEST_F(TsbBasicTest, EmptyTreeGets) {
   Open();
   std::string v;
   EXPECT_TRUE(tree_->GetCurrent("x", &v).IsNotFound());
-  EXPECT_TRUE(tree_->GetAsOf("x", 100, &v).IsNotFound());
+  EXPECT_TRUE(tree_->Get(ReadOptions{.as_of = 100}, "x", &v).IsNotFound());
 }
 
 TEST_F(TsbBasicTest, PutGetRoundTrip) {
@@ -70,17 +70,17 @@ TEST_F(TsbBasicTest, VersionsAreKeptNotOverwritten) {
   std::string v;
   ASSERT_TRUE(tree_->GetCurrent("acct", &v).ok());
   EXPECT_EQ("75", v);
-  ASSERT_TRUE(tree_->GetAsOf("acct", 1, &v).ok());
+  ASSERT_TRUE(tree_->Get(ReadOptions{.as_of = 1}, "acct", &v).ok());
   EXPECT_EQ("100", v);
-  ASSERT_TRUE(tree_->GetAsOf("acct", 4, &v).ok());
+  ASSERT_TRUE(tree_->Get(ReadOptions{.as_of = 4}, "acct", &v).ok());
   EXPECT_EQ("100", v);  // stepwise constant between transactions
-  ASSERT_TRUE(tree_->GetAsOf("acct", 5, &v).ok());
+  ASSERT_TRUE(tree_->Get(ReadOptions{.as_of = 5}, "acct", &v).ok());
   EXPECT_EQ("180", v);
-  ASSERT_TRUE(tree_->GetAsOf("acct", 8, &v).ok());
+  ASSERT_TRUE(tree_->Get(ReadOptions{.as_of = 8}, "acct", &v).ok());
   EXPECT_EQ("180", v);
-  ASSERT_TRUE(tree_->GetAsOf("acct", 1000, &v).ok());
+  ASSERT_TRUE(tree_->Get(ReadOptions{.as_of = 1000}, "acct", &v).ok());
   EXPECT_EQ("75", v);
-  EXPECT_TRUE(tree_->GetAsOf("acct", 0, &v).IsNotFound());
+  EXPECT_TRUE(tree_->Get(ReadOptions{.as_of = 0}, "acct", &v).IsNotFound());
 }
 
 TEST_F(TsbBasicTest, TimestampDisciplineEnforced) {
@@ -112,7 +112,7 @@ TEST_F(TsbBasicTest, UncommittedInvisibleToReaders) {
   std::string v;
   ASSERT_TRUE(tree_->GetCurrent("k", &v).ok());
   EXPECT_EQ("committed", v);  // readers never see uncommitted data
-  ASSERT_TRUE(tree_->GetAsOf("k", 1000, &v).ok());
+  ASSERT_TRUE(tree_->Get(ReadOptions{.as_of = 1000}, "k", &v).ok());
   EXPECT_EQ("committed", v);
   // The owning transaction reads its own write.
   ASSERT_TRUE(tree_->GetUncommitted("k", 42, &v).ok());
@@ -206,7 +206,7 @@ TEST_F(TsbBasicTest, ManyUpdatesMigrateToHistorical) {
   std::string v;
   ASSERT_TRUE(tree_->GetCurrent(Key(3), &v).ok());
   EXPECT_EQ("r59", v);
-  ASSERT_TRUE(tree_->GetAsOf(Key(3), 4, &v).ok());
+  ASSERT_TRUE(tree_->Get(ReadOptions{.as_of = 4}, Key(3), &v).ok());
   EXPECT_EQ("r0", v);
   ExpectChecked();
 }
@@ -234,7 +234,7 @@ TEST_F(TsbBasicTest, PersistsAcrossReopen) {
   std::string v;
   ASSERT_TRUE(reopened->GetCurrent(Key(5), &v).ok());
   EXPECT_EQ("v275", v);
-  ASSERT_TRUE(reopened->GetAsOf(Key(5), 6, &v).ok());
+  ASSERT_TRUE(reopened->Get(ReadOptions{.as_of = 6}, Key(5), &v).ok());
   EXPECT_EQ("v5", v);
   // Clock restored: stale timestamps still rejected.
   EXPECT_TRUE(reopened->Put("z", "x", 5).IsInvalidArgument());
@@ -260,6 +260,23 @@ TEST_F(TsbBasicTest, SpaceStatsReportBothDevices) {
   EXPECT_GE(stats.physical_record_copies, stats.logical_versions);
   EXPECT_GE(stats.redundancy(), 1.0);
   EXPECT_GT(stats.StorageCost(1.0, 0.2), 0.0);
+  EXPECT_GT(stats.hist_nodes, 0u);
+
+  // Close and reopen: every figure comes from the pager, the device or the
+  // DAG walk, none from append counters that restart at every open.
+  ASSERT_TRUE(tree_->Flush().ok());
+  tree_.reset();
+  TsbOptions opts;
+  opts.page_size = 1024;
+  ASSERT_TRUE(TsbTree::Open(magnetic_.get(), worm_.get(), opts, &tree_).ok());
+  SpaceStats reopened;
+  ASSERT_TRUE(tree_->ComputeSpaceStats(&reopened).ok());
+  EXPECT_EQ(stats.hist_nodes, reopened.hist_nodes);
+  EXPECT_EQ(stats.optical_payload_bytes, reopened.optical_payload_bytes);
+  EXPECT_EQ(stats.optical_device_bytes, reopened.optical_device_bytes);
+  EXPECT_EQ(stats.magnetic_bytes, reopened.magnetic_bytes);
+  EXPECT_EQ(stats.logical_versions, reopened.logical_versions);
+  EXPECT_EQ(stats.physical_record_copies, reopened.physical_record_copies);
 }
 
 TEST_F(TsbBasicTest, HistoricalDeviceIsAppendOnly) {
@@ -276,12 +293,15 @@ TEST_F(TsbBasicTest, HistoricalDeviceIsAppendOnly) {
   ExpectChecked();
 }
 
-TEST_F(TsbBasicTest, GetAsOfRejectsReservedTimes) {
+TEST_F(TsbBasicTest, AsOfReadRejectsReservedTimes) {
   Open();
   ASSERT_TRUE(tree_->Put("k", "v", 1).ok());
   std::string v;
-  EXPECT_TRUE(tree_->GetAsOf("k", kUncommittedTs, &v).IsInvalidArgument());
-  EXPECT_TRUE(tree_->GetAsOf("k", kInfiniteTs, &v).IsInvalidArgument());
+  EXPECT_TRUE(tree_->Get(ReadOptions{.as_of = kUncommittedTs}, "k", &v)
+                  .IsInvalidArgument());
+  // kInfiniteTs is not a time but the kAsOfLatest sentinel.
+  ASSERT_TRUE(tree_->Get(ReadOptions{.as_of = kInfiniteTs}, "k", &v).ok());
+  EXPECT_EQ("v", v);
 }
 
 TEST_F(TsbBasicTest, EmptyValueSupported) {

@@ -107,7 +107,7 @@ TEST_P(TsbPropertyTest, AgreesWithOracleEverywhere) {
     const Timestamp t = rnd.Uniform(now + 2);
     std::string v;
     Timestamp got_ts = 0;
-    Status s = tree->GetAsOf(k, t, &v, &got_ts);
+    Status s = tree->Get(ReadOptions{.as_of = t}, k, &v, &got_ts);
     Timestamp want_ts = 0;
     const std::string* want = oracle.GetAsOf(k, t, &want_ts);
     if (want == nullptr) {
@@ -121,7 +121,7 @@ TEST_P(TsbPropertyTest, AgreesWithOracleEverywhere) {
 
   // 3. Snapshot scans at three times, exact match including order.
   for (Timestamp t : {now / 4, now / 2, now}) {
-    auto it = tree->NewSnapshotIterator(t);
+    auto it = tree->NewCursor(ReadOptions{.as_of = t});
     ASSERT_TRUE(it->SeekToFirst().ok());
     for (const auto& [k, versions] : oracle.all()) {
       Timestamp want_ts = 0;
@@ -141,13 +141,14 @@ TEST_P(TsbPropertyTest, AgreesWithOracleEverywhere) {
     const std::string k = gen.KeyFor(rnd.Uniform(gen.keys_created()));
     auto kit = oracle.all().find(k);
     if (kit == oracle.all().end()) continue;
-    auto hist = tree->NewHistoryIterator(k);
-    ASSERT_TRUE(hist->SeekToNewest().ok());
+    auto hist = tree->NewCursor(ReadOptions{.as_of = kMaxCommittedTs});
+    ASSERT_TRUE(hist->Seek(k).ok());
     for (auto vit = kit->second.rbegin(); vit != kit->second.rend(); ++vit) {
       ASSERT_TRUE(hist->Valid()) << k;
+      EXPECT_EQ(k, hist->key().ToString());
       EXPECT_EQ(vit->first, hist->ts());
       EXPECT_EQ(vit->second, hist->value().ToString());
-      ASSERT_TRUE(hist->Next().ok());
+      ASSERT_TRUE(hist->NextVersion().ok());
     }
     EXPECT_FALSE(hist->Valid());
   }

@@ -273,7 +273,7 @@ TEST_F(TsbSplitTest, Fig6TimeSplitAtLastUpdateNoRedundancy) {
   // All old versions remain reachable.
   std::string v;
   for (Timestamp t = 1; t <= tree_->Now(); ++t) {
-    ASSERT_TRUE(tree_->GetAsOf("a", t, &v).ok()) << t;
+    ASSERT_TRUE(tree_->Get(ReadOptions{.as_of = t}, "a", &v).ok()) << t;
   }
   EXPECT_TRUE(Check().ok());
 }
@@ -296,7 +296,7 @@ TEST_F(TsbSplitTest, Fig6TimeSplitAtCurrentTimeCreatesRedundancy) {
   EXPECT_GT(tree_->counters().redundant_record_copies, 0u);
   // "mary" readable both before and after the split time.
   std::string v;
-  ASSERT_TRUE(tree_->GetAsOf("mary", 1, &v).ok());
+  ASSERT_TRUE(tree_->Get(ReadOptions{.as_of = 1}, "mary", &v).ok());
   ASSERT_TRUE(tree_->GetCurrent("mary", &v).ok());
   EXPECT_TRUE(Check().ok());
 }
@@ -392,8 +392,8 @@ TEST_F(TsbSplitTest, SingleKeyOverflowHandledByRepeatedTimeSplits) {
   EXPECT_EQ(0u, tree_->counters().data_key_splits);
   EXPECT_GT(tree_->counters().data_time_splits, 2u);
   std::string v;
-  ASSERT_TRUE(tree_->GetAsOf("solo", 1, &v).ok());
-  ASSERT_TRUE(tree_->GetAsOf("solo", 200, &v).ok());
+  ASSERT_TRUE(tree_->Get(ReadOptions{.as_of = 1}, "solo", &v).ok());
+  ASSERT_TRUE(tree_->Get(ReadOptions{.as_of = 200}, "solo", &v).ok());
   ASSERT_TRUE(tree_->GetCurrent("solo", &v).ok());
   EXPECT_TRUE(Check().ok());
 }

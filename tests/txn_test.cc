@@ -189,7 +189,7 @@ TEST_F(TxnTest, ReadOnlyBackupScanIgnoresConcurrentUncommitted) {
   ASSERT_TRUE(w->Put("k010", "dirty").ok());
   ASSERT_TRUE(w->Put("zz-new", "dirty").ok());
 
-  auto it = backup.NewIterator();
+  auto it = backup.NewCursor();
   ASSERT_TRUE(it->SeekToFirst().ok());
   size_t n = 0;
   while (it->Valid()) {
