@@ -4,15 +4,13 @@
 // count grows — with per-frame shared latches and a sharded buffer pool,
 // point reads should scale nearly linearly until the memory bus saturates.
 //
-// Second phase: N committing WRITERS, serial mode (single-writer
-// discipline, the paper's model) vs optimistic latch coupling
-// (concurrent_writers), on disjoint key ranges and on one contended key
-// space. Emits BENCH_concurrency.json (BENCH_CONCURRENCY_JSON overrides
-// the path) with the scaling ratios CI gates on.
+// Second phase: N committing WRITERS (optimistic latch coupling) on
+// disjoint key ranges and on one contended key space. Emits
+// BENCH_concurrency.json (BENCH_CONCURRENCY_JSON overrides the path) with
+// the scaling ratio CI gates on.
 //
 // The deterministic tables are the acceptance artifacts: reader scaling at
-// 4 threads vs 1, and 4-writer OLC throughput vs 1-writer on disjoint
-// ranges.
+// 4 threads vs 1, and 4-writer throughput vs 1-writer on disjoint ranges.
 #include <benchmark/benchmark.h>
 
 #include <atomic>
@@ -172,7 +170,7 @@ void PrintTable() {
   printf("\n");
 }
 
-// ---- writer scaling (optimistic latch coupling vs serial) -------------
+// ---- writer scaling (optimistic latch coupling) ------------------------
 
 struct WriterFixture {
   std::unique_ptr<MemDevice> magnetic;
@@ -180,15 +178,13 @@ struct WriterFixture {
   std::unique_ptr<tsb_tree::TsbTree> tree;
   std::unique_ptr<txn::TxnManager> txns;
 
-  static WriterFixture Build(bool concurrent) {
+  static WriterFixture Build() {
     WriterFixture f;
     f.magnetic = std::make_unique<MemDevice>();
     f.optical = std::make_unique<MemDevice>(DeviceKind::kOpticalErasable,
                                             CostParams::OpticalWorm());
-    tsb_tree::TsbOptions options = Options();
-    options.concurrent_writers = concurrent;
     Status s = tsb_tree::TsbTree::Open(f.magnetic.get(), f.optical.get(),
-                                       options, &f.tree);
+                                       Options(), &f.tree);
     if (!s.ok()) {
       fprintf(stderr, "open failed: %s\n", s.ToString().c_str());
       abort();
@@ -290,51 +286,41 @@ void PrintWriterTableAndJson() {
         "# NOTE: <4 cores — writer threads time-share; scaling is capped\n"
         "# by the scheduler, not by the latching protocol.\n");
   }
-  printf("%-8s %-10s %-8s %14s %10s %10s %10s\n", "mode", "pattern",
-         "writers", "commits/s", "conflicts", "restarts", "sidesteps");
+  printf("%-10s %-8s %14s %10s %10s %10s\n", "pattern", "writers",
+         "commits/s", "conflicts", "restarts", "sidesteps");
 
   struct Row {
-    bool concurrent;
     bool disjoint;
     int n;
     WriterRun r;
   };
   std::vector<Row> rows;
-  for (const bool concurrent : {false, true}) {
-    for (const bool disjoint : {true, false}) {
-      for (const int n : {1, 2, 4, 8}) {
-        // Fresh tree per run: every configuration pays the same seed
-        // state instead of inheriting the previous run's versions/splits.
-        WriterFixture f = WriterFixture::Build(concurrent);
-        Row row{concurrent, disjoint, n, RunWriters(&f, n, disjoint)};
-        printf("%-8s %-10s %-8d %14.0f %10llu %10llu %10llu\n",
-               concurrent ? "olc" : "serial",
-               disjoint ? "disjoint" : "contended", n, row.r.commits_per_sec,
-               (unsigned long long)row.r.conflicts,
-               (unsigned long long)row.r.olc_restarts,
-               (unsigned long long)row.r.olc_sidesteps);
-        rows.push_back(std::move(row));
-      }
+  for (const bool disjoint : {true, false}) {
+    for (const int n : {1, 2, 4, 8}) {
+      // Fresh tree per run: every configuration pays the same seed state
+      // instead of inheriting the previous run's versions/splits.
+      WriterFixture f = WriterFixture::Build();
+      Row row{disjoint, n, RunWriters(&f, n, disjoint)};
+      printf("%-10s %-8d %14.0f %10llu %10llu %10llu\n",
+             disjoint ? "disjoint" : "contended", n, row.r.commits_per_sec,
+             (unsigned long long)row.r.conflicts,
+             (unsigned long long)row.r.olc_restarts,
+             (unsigned long long)row.r.olc_sidesteps);
+      rows.push_back(std::move(row));
     }
   }
   printf("\n");
 
-  auto find = [&](bool concurrent, bool disjoint, int n) -> const WriterRun& {
+  auto find = [&](bool disjoint, int n) -> const WriterRun& {
     for (const Row& row : rows) {
-      if (row.concurrent == concurrent && row.disjoint == disjoint &&
-          row.n == n) {
-        return row.r;
-      }
+      if (row.disjoint == disjoint && row.n == n) return row.r;
     }
     abort();
   };
-  const double olc_1w = find(true, true, 1).commits_per_sec;
-  const double olc_4w = find(true, true, 4).commits_per_sec;
-  const double serial_1w = find(false, true, 1).commits_per_sec;
-  const double speedup_4w = olc_1w > 0 ? olc_4w / olc_1w : 0.0;
-  const double olc_over_serial = serial_1w > 0 ? olc_1w / serial_1w : 0.0;
-  printf("4-writer OLC vs 1-writer (disjoint): %.2fx\n", speedup_4w);
-  printf("1-writer OLC vs 1-writer serial:     %.2fx\n\n", olc_over_serial);
+  const double w1 = find(true, 1).commits_per_sec;
+  const double w4 = find(true, 4).commits_per_sec;
+  const double speedup_4w = w1 > 0 ? w4 / w1 : 0.0;
+  printf("4-writer vs 1-writer (disjoint): %.2fx\n\n", speedup_4w);
 
   const char* path = std::getenv("BENCH_CONCURRENCY_JSON");
   if (path == nullptr) path = "BENCH_concurrency.json";
@@ -353,10 +339,9 @@ void PrintWriterTableAndJson() {
   for (size_t i = 0; i < rows.size(); ++i) {
     const Row& row = rows[i];
     fprintf(out,
-            "    {\"mode\": \"%s\", \"pattern\": \"%s\", \"writers\": %d, "
+            "    {\"pattern\": \"%s\", \"writers\": %d, "
             "\"commits_per_sec\": %.1f, \"conflicts\": %llu, "
             "\"olc_restarts\": %llu, \"olc_sidesteps\": %llu}%s\n",
-            row.concurrent ? "olc" : "serial",
             row.disjoint ? "disjoint" : "contended", row.n,
             row.r.commits_per_sec, (unsigned long long)row.r.conflicts,
             (unsigned long long)row.r.olc_restarts,
@@ -365,10 +350,9 @@ void PrintWriterTableAndJson() {
   }
   fprintf(out,
           "  ],\n"
-          "  \"speedup_4w_disjoint_vs_1w\": %.3f,\n"
-          "  \"olc_1w_over_serial_1w\": %.3f\n"
+          "  \"speedup_4w_disjoint_vs_1w\": %.3f\n"
           "}\n",
-          speedup_4w, olc_over_serial);
+          speedup_4w);
   fclose(out);
   printf("wrote %s\n\n", path);
 }
@@ -376,7 +360,7 @@ void PrintWriterTableAndJson() {
 void BM_ConcurrentWriters(benchmark::State& state) {
   const int n_writers = static_cast<int>(state.range(0));
   for (auto _ : state) {
-    WriterFixture f = WriterFixture::Build(/*concurrent=*/true);
+    WriterFixture f = WriterFixture::Build();
     const WriterRun r = RunWriters(&f, n_writers, /*disjoint=*/true);
     state.counters["commits_per_sec"] = r.commits_per_sec;
     state.counters["olc_restarts"] = static_cast<double>(r.olc_restarts);

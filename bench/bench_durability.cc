@@ -57,7 +57,6 @@ db::DbOptions Options(bool enable_wal, wal::WalSyncMode mode) {
   db::DbOptions opts;
   opts.tree.page_size = 4096;
   opts.tree.buffer_pool_frames = 1 << 14;
-  opts.tree.concurrent_writers = true;
   opts.enable_wal = enable_wal;
   opts.wal_sync = mode;
   // Large threshold: checkpoints (and their freeze) stay out of the

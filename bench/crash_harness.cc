@@ -74,7 +74,6 @@ DbOptions Options() {
   DbOptions opts;
   opts.tree.page_size = 1024;
   opts.tree.buffer_pool_frames = 1 << 14;
-  opts.tree.concurrent_writers = true;
   return opts;
 }
 

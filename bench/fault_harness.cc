@@ -174,7 +174,6 @@ int RunCycle(const Config& cfg, int cycle, std::mt19937* rng,
   DbOptions opts;
   opts.tree.page_size = 1024;
   opts.tree.buffer_pool_frames = 1 << 14;
-  opts.tree.concurrent_writers = true;
   opts.wal_fault_plan = wal_plan;
   opts.wrap_device = [dev_plan](const std::string&,
                                  std::unique_ptr<tsb::Device> dev)

@@ -7,7 +7,7 @@
 # the scan phase: forward/reverse snapshot scans — warm, old-snapshot and
 # cold — with entries/sec and allocs per emitted entry), which is copied
 # to the repo root for CI artifact upload. bench_concurrency writes
-# BENCH_concurrency.json (N-writer scaling, serial vs optimistic latch
+# BENCH_concurrency.json (N-writer scaling under optimistic latch
 # coupling, with conflict/restart/side-step counters). bench_durability
 # writes BENCH_durability.json (WAL sync-mode ladder, fsync'd group-commit
 # scaling at 1/2/4/8 writers, crash-recovery replay MB/sec, and a
@@ -65,10 +65,8 @@ EOF
   python3 - "$ROOT/BENCH_concurrency.json" <<'EOF'
 import json, sys
 c = json.load(open(sys.argv[1]))
-print("writer recap: %d cores, 4-writer OLC %.2fx of 1-writer (disjoint), "
-      "1-writer OLC %.2fx of serial"
-      % (c["hardware_concurrency"], c["speedup_4w_disjoint_vs_1w"],
-         c["olc_1w_over_serial_1w"]))
+print("writer recap: %d cores, 4 writers %.2fx of 1 writer (disjoint)"
+      % (c["hardware_concurrency"], c["speedup_4w_disjoint_vs_1w"]))
 EOF
   python3 - "$ROOT/BENCH_durability.json" <<'EOF'
 import json, sys

@@ -80,7 +80,6 @@ ShardedOptions Options(const Config& cfg) {
   opts.num_shards = static_cast<uint32_t>(cfg.shards);
   opts.base.tree.page_size = 1024;
   opts.base.tree.buffer_pool_frames = 1 << 14;
-  opts.base.tree.concurrent_writers = true;
   return opts;
 }
 

@@ -4,6 +4,7 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cinttypes>
@@ -37,8 +38,8 @@ Status MultiVersionDB::Open(Device* magnetic, Device* historical,
                                               &mvdb->tree_));
   mvdb->txns_ = std::make_unique<txn::TxnManager>(mvdb->tree_.get());
   // No commit hook yet: it is installed lazily with the first secondary
-  // index (InstallCommitHook). A hook forces commits onto the serial
-  // path, so an index-less DB keeps concurrent commits available.
+  // index (InstallCommitHook). With a hook commits apply one at a time,
+  // so an index-less DB keeps stamping in parallel.
   mvdb->SetupErrorHandler();
   mvdb->InstallCorruptionReporter("primary", mvdb->tree_.get());
   *out = std::move(mvdb);
@@ -941,20 +942,44 @@ Status MultiVersionDB::RecoverWal(bool manifest_clean, bool journal_applied) {
         tree_->PurgeUncommitted(&recovery_stats_.purged_uncommitted));
   }
   const std::string wal_file = WalFilePath(path_, wal_seq_);
+  // Replay inserts below the commit watermark's eventual value, and a time
+  // split never picks a boundary above the PUBLISHED watermark — so the
+  // watermark has to advance as frames apply, or no replayed version could
+  // migrate and a key with many versions would overflow its page. It may
+  // not simply follow each frame: cross-shard slices can sit in a shard's
+  // log out of timestamp order, and a split above a not-yet-applied frame
+  // would strand it below the leaf's region. A decode-only first pass
+  // finds, for every frame, the smallest timestamp from it to the end of
+  // the log; the watermark advances to just below that before the frame
+  // applies.
+  wal::WalReplayResult scan;
+  std::vector<Timestamp> floors;  // floors[i]: min ts over frames i..end
+  TSB_RETURN_IF_ERROR(wal::Wal::Replay(
+      wal_file, wal_checkpoint_lsn_,
+      [&floors](const wal::WalCommit& c) {
+        floors.push_back(c.ts);
+        return Status::OK();
+      },
+      &scan));
+  for (size_t i = floors.size(); i > 1; --i) {
+    floors[i - 2] = std::min(floors[i - 2], floors[i - 1]);
+  }
+  size_t next_frame = 0;
   wal::WalReplayResult rr;
   TSB_RETURN_IF_ERROR(wal::Wal::Replay(
       wal_file, wal_checkpoint_lsn_,
-      [this](const wal::WalCommit& c) { return ApplyWalCommit(c); }, &rr));
-  recovery_stats_.tail_truncated = rr.tail_truncated;
+      [&](const wal::WalCommit& c) {
+        if (next_frame < floors.size()) {
+          PublishReplayed(floors[next_frame++] - 1);
+        }
+        return ApplyWalCommit(c);
+      },
+      &rr));
+  recovery_stats_.tail_truncated = scan.tail_truncated || rr.tail_truncated;
   recovery_stats_.wal_bytes_scanned =
       rr.end_lsn > wal_checkpoint_lsn_ ? rr.end_lsn - wal_checkpoint_lsn_ : 0;
-  // ReplayCommitted advances the clocks without publishing; expose every
-  // recovered commit to readers in one step (whole-prefix, never torn).
-  tree_->clock().Publish(tree_->clock().Now());
-  for (auto& [name, def] : indexes_) {
-    auto& clock = def.index->tree()->clock();
-    clock.Publish(clock.Now());
-  }
+  // Expose every recovered commit to readers (whole-prefix, never torn).
+  PublishReplayed(kMaxCommittedTs);
   TSB_RETURN_IF_ERROR(wal::Wal::Open(wal_file, options_.wal_sync,
                                      options_.wal_background_sync_ms, &wal_,
                                      options_.wal_fault_plan));
@@ -980,6 +1005,16 @@ Status MultiVersionDB::RecoverWal(bool manifest_clean, bool journal_applied) {
     TSB_RETURN_IF_ERROR(Checkpoint());
   }
   return Status::OK();
+}
+
+void MultiVersionDB::PublishReplayed(Timestamp ts) {
+  // ReplayCommitted advances the clocks without publishing; never publish
+  // past what a clock has issued.
+  auto publish = [ts](LogicalClock& clock) {
+    clock.Publish(std::min(ts, clock.Now()));
+  };
+  publish(tree_->clock());
+  for (auto& [name, def] : indexes_) publish(def.index->tree()->clock());
 }
 
 Status MultiVersionDB::ApplyWalCommit(const wal::WalCommit& commit) {

@@ -154,11 +154,10 @@ struct DbOptions {
 ///    the tree under shared page latches only.
 ///  - Writes (Put, Write(batch), transactions) are safe from multiple
 ///    threads; the lock table resolves write-write conflicts
-///    first-writer-wins. With TsbOptions::concurrent_writers the tree
-///    runs writer descents in parallel under optimistic latch coupling;
-///    otherwise page mutations serialize internally (single-writer
-///    discipline). A DB with secondary indexes commits serially either
-///    way — index maintenance must apply in timestamp order.
+///    first-writer-wins. The tree runs writer descents in parallel under
+///    optimistic latch coupling. A DB with secondary indexes commits one
+///    transaction at a time — index maintenance must apply in timestamp
+///    order.
 ///  - CreateSecondaryIndex must complete before concurrent writes begin
 ///    (index registration is not latched — it is a schema operation).
 class MultiVersionDB {
@@ -428,8 +427,8 @@ class MultiVersionDB {
   Status PersistManifest();
 
   /// Installs the TxnManager commit hook once the first index exists.
-  /// Deliberately lazy: a hook forces commits onto the serial path, so an
-  /// index-less DB keeps the concurrent commit path available.
+  /// Deliberately lazy: with a hook every commit holds the commit mutex
+  /// through stamping, so an index-less DB keeps stamping in parallel.
   void InstallCommitHook();
 
   // ---- durability (path-based, WAL-enabled DBs) ----
@@ -440,6 +439,10 @@ class MultiVersionDB {
   /// dirty. `journal_applied` = CheckpointJournal::Recover re-applied a
   /// crashed checkpoint before the devices were opened.
   Status RecoverWal(bool manifest_clean, bool journal_applied);
+
+  /// Publishes `ts` (capped at each clock's issued time) on the primary
+  /// clock and every index tree's clock during WAL replay.
+  void PublishReplayed(Timestamp ts);
 
   /// Applies one replayed commit frame: primary records via
   /// ReplayCommitted plus secondary-index maintenance re-derived from the

@@ -332,19 +332,21 @@ Status SalvageDatabase(const std::string& src, const std::string& dst,
   dbo.tree.page_size = geo.page_size;
   std::unique_ptr<MultiVersionDB> out_db;
   TSB_RETURN_IF_ERROR(MultiVersionDB::Open(dst, dbo, &out_db));
+  // ReplayExternalCommit advances the clock without publishing (the
+  // sharded facade controls visibility). Salvage owns the whole database
+  // and replays in timestamp order, so it publishes each commit as it
+  // lands: time splits cap at the published watermark, and without it no
+  // salvaged version could migrate out of a full page.
+  auto& clock = out_db->primary()->clock();
   for (const auto& [ts, ops] : commits) {
     wal::WalCommit commit;
     commit.ts = ts;
     commit.ops.reserve(ops.size());
     for (const auto& [key, value] : ops) commit.ops.emplace_back(key, value);
     TSB_RETURN_IF_ERROR(out_db->ReplayExternalCommit(commit));
+    clock.Publish(ts);
     report->commits_replayed++;
   }
-  // ReplayExternalCommit advances the clock without publishing (the
-  // sharded facade controls visibility); salvage is the whole world, so
-  // publish everything in one step before the closing checkpoint.
-  auto& clock = out_db->primary()->clock();
-  clock.Publish(clock.Now());
   TSB_RETURN_IF_ERROR(out_db->Checkpoint());
   out_db.reset();  // clean shutdown: final checkpoint + clean manifest
   return Status::OK();

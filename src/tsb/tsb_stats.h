@@ -21,8 +21,8 @@ struct HistDecodeCounters {
 };
 
 /// Running operation counters (cheap, maintained inline). Atomic fields:
-/// with TsbOptions::concurrent_writers multiple writer threads bump them
-/// in parallel; fields convert implicitly to uint64_t for reading.
+/// multiple writer threads bump them in parallel; fields convert
+/// implicitly to uint64_t for reading.
 struct TsbCounters {
   std::atomic<uint64_t> puts{0};   ///< committed record versions inserted
   std::atomic<uint64_t> uncommitted_puts{0};
@@ -52,7 +52,7 @@ struct TsbCounters {
   std::atomic<uint64_t> redundant_index_copies{0};
 
   /// Optimistic-latch-coupling writer descents that restarted from the
-  /// root because the structure changed underneath them (concurrent mode).
+  /// root because the structure changed underneath them.
   std::atomic<uint64_t> olc_restarts{0};
   /// Descents that resolved a concurrent key split by stepping laterally
   /// to the just-split page's right sibling instead of restarting.

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <chrono>
 #include <cstring>
 #include <set>
 #include <thread>
@@ -19,9 +20,49 @@ namespace {
 
 constexpr uint32_t kMetaMagic = 0x54534231;  // "TSB1"
 constexpr int kMaxInsertRetries = 64;
-// Yield budget while waiting for in-flight commits to publish so a
-// watermark-capped time split can migrate history (concurrent mode only).
-constexpr int kMaxWatermarkSpins = 4096;
+// How long a writer waits for in-flight commits to publish so that a
+// watermark-capped time split can migrate history. Commits publish within
+// microseconds to milliseconds; a watermark pinned this long is poisoned
+// (a failed commit awaiting repair), and waiting longer would not help.
+constexpr std::chrono::milliseconds kWatermarkWait{2000};
+
+// Waits until `clock` publishes `t`, up to kWatermarkWait. Yields first
+// (a descheduled committer usually finishes within a few time slices),
+// then sleeps in short steps.
+bool WaitForVisible(const LogicalClock& clock, Timestamp t) {
+  const auto deadline = std::chrono::steady_clock::now() + kWatermarkWait;
+  for (int spin = 0; clock.Visible() < t; ++spin) {
+    if (spin < 64) {
+      std::this_thread::yield();
+      continue;
+    }
+    if (std::chrono::steady_clock::now() >= deadline) return false;
+    std::this_thread::sleep_for(std::chrono::microseconds(100));
+  }
+  return true;
+}
+
+// The earliest split time at which a time split of a single-key leaf sheds
+// a version: the key's second-oldest committed version (it stays in the
+// leaf, the oldest moves out), and never at or below the region's lower
+// bound `t_lo`. 0 when fewer than two versions are committed — then no
+// split time makes progress.
+Timestamp EarliestSheddingSplitTime(const std::vector<DataEntry>& entries,
+                                    Timestamp t_lo) {
+  Timestamp oldest = kInfiniteTs;
+  Timestamp second = kInfiniteTs;
+  for (const DataEntry& e : entries) {
+    if (e.uncommitted()) continue;
+    if (e.ts < oldest) {
+      second = oldest;
+      oldest = e.ts;
+    } else if (e.ts < second) {
+      second = e.ts;
+    }
+  }
+  if (second == kInfiniteTs) return 0;
+  return std::max(second, t_lo + 1);
+}
 
 // Upper bound on the encoded size of an index entry we are about to create
 // whose historical address and content-floor hint are not yet known
@@ -212,7 +253,7 @@ Status TsbTree::FinishCheckpoint(CheckpointScope* scope) {
 
 Status TsbTree::ReplayCommitted(const Slice& key, const Slice& value,
                                 Timestamp ts) {
-  WriterGuard wl(this);
+  WriterGuard wl(writer_mu_);
   if (ts == kMinTimestamp || ts > kMaxCommittedTs) {
     return Status::InvalidArgument("timestamp out of committed range");
   }
@@ -313,18 +354,15 @@ Status TsbTree::PurgeCommittedAtRec(uint32_t page_id, Timestamp ts,
 
 // ---------------------------------------------------------------- descent
 
-Status TsbTree::DescendCurrent(const Slice& key, std::vector<PathElem>* path,
-                               bool latched) {
+Status TsbTree::DescendCurrent(const Slice& key,
+                               std::vector<PathElem>* path) {
   path->clear();
   uint32_t id = root_.load(std::memory_order_acquire);
   for (;;) {
     PageHandle h;
-    // `latched` reads each page under a shared latch: required when other
-    // writers may mutate leaves concurrently (split re-descents under
-    // structure_mu_ in concurrent mode; index pages are stable there but
-    // the leaf level byte is not).
-    TSB_RETURN_IF_ERROR(latched ? pool_->FetchShared(id, &h)
-                                : pool_->Fetch(id, &h));
+    // Shared latch: index pages are stable under structure_mu_, but other
+    // writers may be mutating the leaf (its level byte included).
+    TSB_RETURN_IF_ERROR(pool_->FetchShared(id, &h));
     if (TsbPageLevel(h.data()) == 0) {
       path->push_back(PathElem{id, -1});
       return Status::OK();
@@ -345,7 +383,7 @@ Status TsbTree::DescendCurrent(const Slice& key, std::vector<PathElem>* path,
   }
 }
 
-// Optimistic latch-coupled writer descent (concurrent_writers mode). At
+// Optimistic latch-coupled writer descent, shared by every mutator. At
 // most ONE page latch is held at any moment: internal pages are read under
 // a brief shared latch, their routing entry copied out, and only the pin
 // (not the latch) carried to the next level; after latching the child, the
@@ -657,7 +695,7 @@ Status TsbTree::GetUncommitted(const Slice& key, TxnId txn,
 // ---------------------------------------------------------------- writes
 
 Status TsbTree::Put(const Slice& key, const Slice& value, Timestamp ts) {
-  WriterGuard wl(this);
+  WriterGuard wl(writer_mu_);
   if (ts == kMinTimestamp || ts > kMaxCommittedTs) {
     return Status::InvalidArgument("timestamp out of committed range");
   }
@@ -679,7 +717,7 @@ Status TsbTree::Put(const Slice& key, const Slice& value, Timestamp ts) {
 
 Status TsbTree::PutUncommitted(const Slice& key, const Slice& value,
                                TxnId txn) {
-  WriterGuard wl(this);
+  WriterGuard wl(writer_mu_);
   if (txn == kNoTxn) return Status::InvalidArgument("txn id required");
   DataEntry e;
   e.key = key.ToString();
@@ -699,25 +737,13 @@ Status TsbTree::InsertEntry(const DataEntry& e) {
   if (e.EncodedSize() + kCellOverhead > capacity / 3) {
     return Status::InvalidArgument("record too large for page size");
   }
-  const bool concurrent = options_.concurrent_writers;
   for (int attempt = 0; attempt < kMaxInsertRetries; ++attempt) {
+    // Optimistic descent: exclusive latch on the target leaf only; the
+    // routing entry is captured during the descent (index pages may not
+    // be read unlatched while other writers split).
     PageHandle h;
     IndexEntry pe;
-    if (concurrent) {
-      // Optimistic descent: exclusive latch on the target leaf only; the
-      // routing entry is captured during the descent (index pages may not
-      // be read unlatched while other writers split).
-      TSB_RETURN_IF_ERROR(LatchLeafOLC(Slice(e.key), &h, &pe));
-    } else {
-      std::vector<PathElem> path;
-      TSB_RETURN_IF_ERROR(DescendCurrent(Slice(e.key), &path));
-      // Exclusive leaf latch: concurrent readers of this page must not
-      // see the slotted layout mid-mutation.
-      TSB_RETURN_IF_ERROR(pool_->FetchExclusive(path.back().page_id, &h));
-      int pe_pos;
-      TSB_RETURN_IF_ERROR(
-          ParentEntryFor(path, path.size() - 1, &pe, &pe_pos));
-    }
+    TSB_RETURN_IF_ERROR(LatchLeafOLC(Slice(e.key), &h, &pe));
     DataPageRef page(h.data(), options_.page_size);
 
     // Region lower time bound: committed inserts must not predate it.
@@ -751,38 +777,31 @@ Status TsbTree::InsertEntry(const DataEntry& e) {
       return Status::OK();
     }
     h.Release();
-    Status split = SplitForInsert(e);
-    if (concurrent && split.IsOutOfSpace() &&
-        clock_->Visible() < clock_->Now()) {
-      // The page looks wedged only because the time-split boundary is
-      // capped at the PUBLISHED watermark and in-flight commits are still
-      // holding it back. Those commits finish without our help (we hold
-      // no latch here and only a shared writer lock), so yield until the
-      // watermark catches up and the split can migrate history again.
-      for (int spin = 0;
-           spin < kMaxWatermarkSpins && clock_->Visible() < clock_->Now();
-           ++spin) {
-        std::this_thread::yield();
-      }
-      split = SplitForInsert(e);
+    Timestamp wait_for = 0;
+    Status split = SplitForInsert(e, &wait_for);
+    if (split.IsOutOfSpace() && wait_for != 0 &&
+        WaitForVisible(*clock_, wait_for)) {
+      // The leaf was wedged only because in-flight commits held the
+      // watermark below the split time it needs; they finish without our
+      // help (we hold no latch and only a shared writer lock), and the
+      // retry can now migrate history.
+      continue;
     }
     TSB_RETURN_IF_ERROR(split);
   }
   return Status::Corruption("insert did not converge after splits");
 }
 
-Status TsbTree::SplitForInsert(const DataEntry& e) {
-  // Structural changes are serialized on structure_mu_ (uncontended in
-  // single-writer mode). Index pages are mutated ONLY by the split/grow
-  // code running under this mutex, so the unlatched index reads below it
-  // (DescendCurrent's routing, ParentEntryFor, EnsureIndexRoom) are safe;
-  // LEAVES still change under other writers' latches in concurrent mode,
-  // so the re-descent latches pages and SplitDataPage revalidates the
-  // leaf's mutation counter before installing its rewrite.
+Status TsbTree::SplitForInsert(const DataEntry& e, Timestamp* wait_for) {
+  // Structural changes are serialized on structure_mu_. Index pages are
+  // mutated ONLY by the split/grow code running under this mutex, so the
+  // unlatched index reads below it (ParentEntryFor, EnsureIndexRoom) are
+  // safe; LEAVES still change under other writers' latches, so the
+  // re-descent latches pages and SplitDataPage revalidates the leaf's
+  // mutation counter before installing its rewrite.
   std::lock_guard<std::mutex> sl(structure_mu_);
   std::vector<PathElem> path;
-  TSB_RETURN_IF_ERROR(
-      DescendCurrent(Slice(e.key), &path, options_.concurrent_writers));
+  TSB_RETURN_IF_ERROR(DescendCurrent(Slice(e.key), &path));
   {
     // Another writer may have split this leaf while we waited on the
     // mutex: skip when the entry now fits (the caller retries the insert
@@ -792,32 +811,22 @@ Status TsbTree::SplitForInsert(const DataEntry& e) {
     DataPageRef page(h.data(), options_.page_size);
     if (page.HasRoomFor(e)) return Status::OK();
   }
-  return SplitDataPage(path);
+  return SplitDataPage(path, wait_for);
 }
 
 Status TsbTree::StampCommitted(const Slice& key, TxnId txn, Timestamp ts) {
-  WriterGuard wl(this);
+  WriterGuard wl(writer_mu_);
   if (ts == kMinTimestamp || ts > kMaxCommittedTs) {
     return Status::InvalidArgument("timestamp out of committed range");
   }
   PageHandle h;
   IndexEntry pe;
-  if (options_.concurrent_writers) {
-    TSB_RETURN_IF_ERROR(LatchLeafOLC(key, &h, &pe));
-  } else {
-    std::vector<PathElem> path;
-    TSB_RETURN_IF_ERROR(DescendCurrent(key, &path));
-    int pe_pos;
-    TSB_RETURN_IF_ERROR(ParentEntryFor(path, path.size() - 1, &pe, &pe_pos));
-    TSB_RETURN_IF_ERROR(pool_->FetchExclusive(path.back().page_id, &h));
-  }
+  TSB_RETURN_IF_ERROR(LatchLeafOLC(key, &h, &pe));
   // Defense in depth: stamping below the region's time-split boundary
   // would make the version unreachable for as-of reads (the region
   // [t_lo, inf) no longer covers it). Commits can never legally hit this
-  // — serialized commits never split above an in-flight timestamp, and
-  // concurrent-mode splits cap the boundary at the published watermark,
-  // which trails every in-flight commit — so treat it as corruption, not
-  // data loss.
+  // — splits cap the boundary at the published watermark, which trails
+  // every in-flight commit — so treat it as corruption, not data loss.
   if (ts < pe.t_lo) {
     return Status::Corruption(
         "commit timestamp predates the node's time-split boundary");
@@ -845,11 +854,10 @@ Status TsbTree::StampCommitted(const Slice& key, TxnId txn, Timestamp ts) {
 
 Status TsbTree::StampCommittedBatch(const std::vector<Slice>& keys,
                                     TxnId txn, Timestamp ts) {
-  WriterGuard wl(this);
+  WriterGuard wl(writer_mu_);
   if (ts == kMinTimestamp || ts > kMaxCommittedTs) {
     return Status::InvalidArgument("timestamp out of committed range");
   }
-  const bool concurrent = options_.concurrent_writers;
   size_t i = 0;
   while (i < keys.size()) {
     assert(i == 0 || keys[i - 1] < keys[i]);  // sorted + distinct
@@ -857,16 +865,7 @@ Status TsbTree::StampCommittedBatch(const std::vector<Slice>& keys,
     // The region boundary check of StampCommitted, hoisted per leaf: every
     // key stamped below shares this leaf's region.
     IndexEntry pe;
-    if (concurrent) {
-      TSB_RETURN_IF_ERROR(LatchLeafOLC(keys[i], &h, &pe));
-    } else {
-      std::vector<PathElem> path;
-      TSB_RETURN_IF_ERROR(DescendCurrent(keys[i], &path));
-      int pe_pos;
-      TSB_RETURN_IF_ERROR(
-          ParentEntryFor(path, path.size() - 1, &pe, &pe_pos));
-      TSB_RETURN_IF_ERROR(pool_->FetchExclusive(path.back().page_id, &h));
-    }
+    TSB_RETURN_IF_ERROR(LatchLeafOLC(keys[i], &h, &pe));
     if (ts < pe.t_lo) {
       return Status::Corruption(
           "commit timestamp predates the node's time-split boundary");
@@ -904,16 +903,10 @@ Status TsbTree::StampCommittedBatch(const std::vector<Slice>& keys,
 }
 
 Status TsbTree::EraseUncommitted(const Slice& key, TxnId txn) {
-  WriterGuard wl(this);
+  WriterGuard wl(writer_mu_);
   PageHandle h;
-  if (options_.concurrent_writers) {
-    IndexEntry pe;
-    TSB_RETURN_IF_ERROR(LatchLeafOLC(key, &h, &pe));
-  } else {
-    std::vector<PathElem> path;
-    TSB_RETURN_IF_ERROR(DescendCurrent(key, &path));
-    TSB_RETURN_IF_ERROR(pool_->FetchExclusive(path.back().page_id, &h));
-  }
+  IndexEntry pe;
+  TSB_RETURN_IF_ERROR(LatchLeafOLC(key, &h, &pe));
   DataPageRef page(h.data(), options_.page_size);
   const int pos = page.FindUncommitted(key, txn);
   if (pos < 0) return Status::NotFound("no uncommitted version for txn");
@@ -992,7 +985,8 @@ void TsbTree::PartitionByTime(const std::vector<DataEntry>& all, Timestamp t,
   std::sort(current->begin(), current->end());
 }
 
-Status TsbTree::SplitDataPage(const std::vector<PathElem>& path) {
+Status TsbTree::SplitDataPage(const std::vector<PathElem>& path,
+                              Timestamp* wait_for) {
   const size_t leaf_idx = path.size() - 1;
   if (leaf_idx == 0) {
     // Root is still a data page: grow first, split on the retry.
@@ -1022,20 +1016,36 @@ Status TsbTree::SplitDataPage(const std::vector<PathElem>& path) {
   SplitKind kind = policy_.DecideDataSplit(stats, capacity);
 
   if (kind == SplitKind::kTimeSplit) {
-    // Concurrent mode caps the split time at the PUBLISHED watermark, not
-    // the raw clock: Now() may already exceed an in-flight commit's
-    // timestamp, and a boundary above it would later make that commit's
-    // stamp land below t_lo (unreachable for as-of reads).
-    const Timestamp now_cap =
-        options_.concurrent_writers ? clock_->Visible() : clock_->Now();
-    const Timestamp split_t =
-        policy_.ChooseSplitTime(entries, pe.t_lo, now_cap);
+    // The split time is capped at the PUBLISHED watermark, not the raw
+    // clock: Now() may already exceed an in-flight commit's timestamp,
+    // and a boundary above it would later make that commit's stamp land
+    // below t_lo (unreachable for as-of reads).
+    const Timestamp visible = clock_->Visible();
+    Timestamp split_t = policy_.ChooseSplitTime(entries, pe.t_lo, visible);
     std::vector<DataEntry> hist_set, cur_set;
     size_t redundant = 0;
     PartitionByTime(entries, split_t, &hist_set, &cur_set, &redundant);
     // Progress = the current page sheds entries.
-    const bool progress =
-        !hist_set.empty() && cur_set.size() < entries.size();
+    bool progress = !hist_set.empty() && cur_set.size() < entries.size();
+    if (!progress && stats.distinct_keys < 2) {
+      // A single-key leaf cannot key-split, so it must shed history here.
+      // Split at the earliest time that sheds a version if the watermark
+      // already covers it; otherwise report how far the watermark has to
+      // advance (the caller waits for in-flight commits and retries).
+      const Timestamp needed = EarliestSheddingSplitTime(entries, pe.t_lo);
+      if (needed == 0) {
+        return Status::OutOfSpace(
+            "versions of a single key overflow the page");
+      }
+      if (needed > visible) {
+        *wait_for = needed;
+        return Status::OutOfSpace(
+            "time split blocked by the commit watermark");
+      }
+      split_t = needed;
+      PartitionByTime(entries, split_t, &hist_set, &cur_set, &redundant);
+      progress = !hist_set.empty() && cur_set.size() < entries.size();
+    }
     if (progress) {
       // Ensure the parent can take one more (historical) entry BEFORE any
       // irreversible work; if the structure changed, retry from the top.
@@ -1109,9 +1119,6 @@ Status TsbTree::SplitDataPage(const std::vector<PathElem>& path) {
       return Status::OK();
     }
     // No migratable history: fall through to a key split if possible.
-    if (stats.distinct_keys < 2) {
-      return Status::OutOfSpace("versions of a single key overflow the page");
-    }
     kind = SplitKind::kKeySplit;
   }
 

@@ -64,19 +64,9 @@ struct TsbOptions {
   /// Read-compatible in every direction — the interval is stored per
   /// node.
   uint32_t hist_restart_interval = kHistRestartInterval;
-  /// Parallel write path. Off (default): every mutator serializes behind
-  /// one writer mutex — the paper's single-updater discipline, zero
-  /// overhead, the measurable baseline. On: mutators run concurrently
-  /// using optimistic latch coupling — the descent reads internal pages
-  /// under brief shared latches, validates each page's mutation counter
-  /// after latching the child, takes the exclusive frame latch only on the
-  /// target leaf, and side-steps along B-link sibling pointers when a
-  /// concurrent key split moved the key (see counters().olc_restarts /
-  /// olc_sidesteps). Splits serialize on an internal structure mutex;
-  /// leaf-only writes scale with cores. With concurrent writers, route
-  /// committed writes through ONE discipline: either direct Put calls or
-  /// TxnManager commits, not both interleaved (the commit watermark
-  /// ordering assumes it allocates the timestamps it publishes).
+  /// Has no effect. Every tree runs the one write path described in the
+  /// TsbTree thread model (optimistic latch coupling); the field remains
+  /// only so existing callers that assign it still compile.
   bool concurrent_writers = false;
   /// Commit clock shared with other trees (must outlive this one).
   /// nullptr = the tree owns a private clock, the historical default.
@@ -127,22 +117,25 @@ struct DecodedNode {
 ///
 /// Thread model (paper section 4.1 extended with optimistic latch
 /// coupling on the write path):
-///  - Default (options.concurrent_writers == false): all write entry
-///    points serialize exclusively on the internal writer mutex — the
-///    paper's single-updater discipline; concurrent writers are safe but
-///    not parallel.
-///  - concurrent_writers == true: mutators hold the writer mutex SHARED
-///    (so N writer threads proceed in parallel) and descend with
-///    optimistic latch coupling — brief shared latch per internal page,
-///    PageHandle::version validation after each child latch, exclusive
-///    latch only on the target leaf. A descent that loses a race
-///    side-steps along the leaf's B-link sibling pointer (concurrent key
-///    split) or restarts from the root. Structural changes (splits, root
-///    growth) additionally serialize on an internal structure mutex, so
-///    index pages mutate one split at a time. Quiescing maintenance
-///    (Flush, ComputeSpaceStats, bounded cursor fallbacks) takes the
-///    writer mutex exclusively and thus still excludes every mutator in
-///    both modes.
+///  - Mutators hold the writer mutex SHARED, so N writer threads proceed
+///    in parallel, and descend with optimistic latch coupling: a brief
+///    shared latch per internal page, PageHandle::version validation
+///    after each child latch, an exclusive latch only on the target leaf.
+///    A descent that loses a race side-steps along the leaf's B-link
+///    sibling pointer (concurrent key split) or restarts from the root.
+///    Structural changes (splits, root growth) additionally serialize on
+///    an internal structure mutex, so index pages mutate one split at a
+///    time. Quiescing maintenance (Flush, checkpoints, ComputeSpaceStats,
+///    bounded cursor fallbacks) takes the writer mutex exclusively and
+///    thus excludes every mutator.
+///  - A time split never picks a boundary above the published watermark
+///    (clock().Visible()): every in-flight commit stamps above it. When
+///    that cap is all that keeps a single-key leaf from splitting, the
+///    inserting writer waits (bounded) for in-flight commits to publish.
+///    Route committed writes through ONE discipline: either direct Put
+///    calls or TxnManager commits, not both interleaved from different
+///    threads (the commit watermark assumes it allocates the timestamps
+///    it publishes).
 ///  - Read entry points never take the writer mutex. Point reads descend
 ///    the current pages with latch coupling: the child's shared frame
 ///    latch is acquired before the parent's is dropped, and every
@@ -272,8 +265,9 @@ class TsbTree {
 
   /// WAL recovery insert: like Put but exempt from the monotone-clock
   /// check (replay re-inserts timestamps the persisted clock already
-  /// advanced past) and without publishing (the caller publishes once
-  /// after the whole log is replayed).
+  /// advanced past) and without publishing: the caller decides what is
+  /// visible. It must still advance the watermark as replay proceeds, or
+  /// no replayed version can time-split (see MultiVersionDB::RecoverWal).
   Status ReplayCommitted(const Slice& key, const Slice& value, Timestamp ts);
 
   /// Removes every uncommitted (ghost) version left behind by a crash
@@ -337,15 +331,13 @@ class TsbTree {
     int entry_idx;  // entry followed in THIS page to reach the child (-1 leaf)
   };
 
-  /// Descends the current axis (T = kUncommittedTs) to the leaf for `key`.
-  /// Writer-only. With `latched`, every page is read under a brief shared
-  /// latch (required whenever other writers may mutate leaves, i.e. under
-  /// structure_mu_ in concurrent mode); unlatched reads are only safe when
-  /// the caller holds writer_mu_ exclusively.
-  Status DescendCurrent(const Slice& key, std::vector<PathElem>* path,
-                        bool latched = false);
+  /// Descends the current axis (T = kUncommittedTs) to the leaf for `key`,
+  /// reading every page under a brief shared latch. Split code only: the
+  /// caller holds structure_mu_, so index pages are stable, but leaves
+  /// may still change under other writers' latches.
+  Status DescendCurrent(const Slice& key, std::vector<PathElem>* path);
 
-  /// Concurrent-mode writer descent (optimistic latch coupling): descends
+  /// The writer descent (optimistic latch coupling): descends
   /// to the leaf for `key` under brief shared latches with per-page
   /// version validation, and returns the leaf EXCLUSIVELY latched plus the
   /// parent entry (`pe`, identity rectangle when the leaf is the root)
@@ -398,11 +390,16 @@ class TsbTree {
 
   /// The split slow path of InsertEntry: re-descends under structure_mu_
   /// and splits the target leaf unless another writer already made room.
-  Status SplitForInsert(const DataEntry& e);
+  /// `*wait_for` as in SplitDataPage.
+  Status SplitForInsert(const DataEntry& e, Timestamp* wait_for);
 
   /// Splits the full leaf at path.back(); posts to parents; the caller
-  /// re-descends afterwards.
-  Status SplitDataPage(const std::vector<PathElem>& path);
+  /// re-descends afterwards. When only the watermark cap keeps a
+  /// single-key leaf from time-splitting, returns OutOfSpace with
+  /// `*wait_for` set to the watermark that unblocks the split (left
+  /// untouched otherwise).
+  Status SplitDataPage(const std::vector<PathElem>& path,
+                       Timestamp* wait_for);
 
   /// Ensures the index page at path[idx] can absorb `need` more bytes,
   /// splitting it (and ancestors) if necessary. May grow the root. Sets
@@ -451,32 +448,20 @@ class TsbTree {
   /// TsbOptions::external_clock.
   LogicalClock* clock_;
 
-  /// The writer-mode lock. Single-writer mode: every mutator holds it
-  /// exclusively (strict serialization). Concurrent mode: mutators hold
-  /// it SHARED — parallelism comes from per-page latches — while
-  /// quiescing maintenance (Flush, ComputeSpaceStats, cursor
-  /// fallbacks) still takes it exclusively to stop all mutation.
+  /// The writer lock. Mutators hold it SHARED — parallelism comes from
+  /// per-page latches — while quiescing maintenance (Flush, checkpoints,
+  /// ComputeSpaceStats, cursor fallbacks) takes it exclusively to stop
+  /// all mutation.
   std::shared_mutex writer_mu_;
-  /// Serializes structural changes (data/index splits, root growth) in
-  /// concurrent mode. Lock order: writer_mu_ -> structure_mu_ -> page
-  /// latches top-down (parent before child); never acquired while holding
-  /// a page latch. Index pages mutate ONLY under this mutex, so split code
-  /// may read them unlatched while holding it.
+  /// Serializes structural changes (data/index splits, root growth).
+  /// Lock order: writer_mu_ -> structure_mu_ -> page latches top-down
+  /// (parent before child); never acquired while holding a page latch.
+  /// Index pages mutate ONLY under this mutex, so split code may read
+  /// them unlatched while holding it.
   std::mutex structure_mu_;
 
-  /// RAII mutator lock: exclusive writer_mu_ in single-writer mode,
-  /// shared in concurrent mode (see writer_mu_).
-  struct WriterGuard {
-    explicit WriterGuard(TsbTree* t) {
-      if (t->options_.concurrent_writers) {
-        shared = std::shared_lock<std::shared_mutex>(t->writer_mu_);
-      } else {
-        exclusive = std::unique_lock<std::shared_mutex>(t->writer_mu_);
-      }
-    }
-    std::shared_lock<std::shared_mutex> shared;
-    std::unique_lock<std::shared_mutex> exclusive;
-  };
+  /// RAII mutator lock: writer_mu_ held shared (see writer_mu_).
+  using WriterGuard = std::shared_lock<std::shared_mutex>;
 
   std::atomic<uint32_t> root_{kInvalidPageId};
   std::atomic<uint32_t> height_{1};

@@ -101,126 +101,41 @@ Status TxnManager::CommitPrepared(Transaction* txn, Timestamp ts) {
 
 Status TxnManager::CommitInternal(Transaction* txn, Timestamp* commit_ts,
                                   Timestamp external_ts) {
+  // Only the tick, the log append and the watermark bookkeeping serialize
+  // on commit_mu_; the stamping descents run in parallel (optimistic latch
+  // coupling inside the tree). Publication advances to the largest
+  // timestamp with no smaller commit still in flight — an ordered prefix —
+  // so a reader at the watermark sees whole transactions or nothing, and a
+  // time split (which caps its boundary at the PUBLISHED watermark) can
+  // never out-run an in-flight stamp.
+  //
+  // A commit hook (secondary-index maintenance) must apply in timestamp
+  // order, so with one installed the commit keeps commit_mu_ through
+  // stamping, sync and hook: commits then run one at a time, the paper's
+  // single-updater model (section 4.1).
+  const bool ordered = static_cast<bool>(hook_);
+  std::unique_lock<std::mutex> commit_lock(commit_mu_);
+  commit_cv_.wait(commit_lock, [&] { return !frozen_; });
+  if (gate_) TSB_RETURN_IF_ERROR(gate_());
+  if (ordered) serial_fallback_commits_.fetch_add(1, std::memory_order_relaxed);
   // One commit timestamp for the whole transaction (rollback-database
   // semantics: records are stamped with transaction commit time). With a
   // ledger, allocation goes through it so registration in the GLOBAL
   // in-flight set is atomic with the tick; an externally allocated
   // timestamp is already registered by the caller.
-  if (tree_->options().concurrent_writers && !hook_) {
-    // Concurrent commit: only the tick and the watermark bookkeeping are
-    // serialized; the stamping descents themselves run in parallel
-    // (optimistic latch coupling inside the tree). Publication advances
-    // to the largest timestamp with no smaller commit still in flight —
-    // an ordered prefix — so a reader at the watermark still sees whole
-    // transactions or nothing, and a time split (which caps its boundary
-    // at the PUBLISHED watermark) can never out-run an in-flight stamp.
-    // A hook forces the serial path below: index maintenance must apply
-    // in timestamp order.
-    Timestamp ts;
-    uint64_t wal_end_lsn = 0;
-    {
-      std::unique_lock<std::mutex> commit_lock(commit_mu_);
-      commit_cv_.wait(commit_lock, [&] { return !frozen_; });
-      if (gate_) TSB_RETURN_IF_ERROR(gate_());
-      ts = external_ts != 0 ? external_ts
-           : ledger_ != nullptr ? ledger_->TickCommit()
-                                : tree_->clock().Tick();
-      if (wal_ != nullptr) {
-        // Log BEFORE entering inflight_: append order under commit_mu_ ==
-        // timestamp order, so replay reproduces the one serialization the
-        // watermark could have published. (Cross-shard slices may land
-        // out of global ts order in a SHARD's log, but per key the lock
-        // table serializes writers, so per-key order — all replay
-        // depends on — still holds.) An append failure aborts the commit
-        // before any stamp — nothing torn, nothing to poison — but the
-        // log itself is sick: escalate.
-        Status append_status =
-            wal_->AppendCommit(ts, txn->writes_, &wal_end_lsn);
-        if (!append_status.ok()) {
-          commit_lock.unlock();
-          if (external_ts == 0 && ledger_ != nullptr) {
-            ledger_->AbortCommit(ts);
-          }
-          if (reporter_) reporter_("wal append", append_status);
-          return append_status;
-        }
-        wal_appended_lsn_.store(wal_end_lsn, std::memory_order_release);
-      }
-      inflight_.insert(ts);
-    }
-    std::vector<Slice> keys;
-    keys.reserve(txn->writes_.size());
-    for (const auto& [key, value] : txn->writes_) keys.emplace_back(key);
-    Status status = tree_->StampCommittedBatch(keys, txn->id_, ts);
-    if (status.ok() && wal_ != nullptr) {
-      // Group-commit rendezvous, while this commit is STILL in inflight_:
-      // the watermark cannot publish past a commit whose durability is
-      // unresolved, so an fdatasync failure can poison before any reader
-      // observed the stamp.
-      status = wal_->Sync(wal_end_lsn);
-    }
-    Timestamp publish;
-    {
-      std::lock_guard<std::mutex> commit_lock(commit_mu_);
-      inflight_.erase(ts);
-      if (frozen_ && inflight_.empty()) commit_cv_.notify_all();
-      if (!status.ok()) {
-        // Same poisoned-watermark contract as the serial path below.
-        if (publish_cap_ > ts - 1) publish_cap_ = ts - 1;
-        failed_commits_.push_back(ts);
-        if (external_ts != 0) failed_external_.insert(ts);
-      } else if (completed_max_ < ts) {
-        completed_max_ = ts;
-      }
-      publish = inflight_.empty() ? completed_max_ : *inflight_.begin() - 1;
-      if (publish > publish_cap_) publish = publish_cap_;
-    }
-    if (!status.ok()) {
-      if (external_ts == 0 && ledger_ != nullptr) ledger_->PoisonCommit(ts);
-      TSB_LOG_ERROR("commit at t=%llu failed mid-stamp (%s); freezing the "
-                    "read watermark at t=%llu",
-                    (unsigned long long)ts, status.ToString().c_str(),
-                    (unsigned long long)publish_cap_);
-      if (reporter_) reporter_("commit", status);
-      return status;
-    }
-    if (external_ts == 0) {
-      if (ledger_ != nullptr) {
-        ledger_->EndCommit(ts);  // global ordered prefix; publishes inside
-      } else {
-        tree_->clock().Publish(publish);  // monotone CAS-max inside
-      }
-    }
-    UnlockKeys(*txn);
-    txn->active_ = false;
-    active_count_.fetch_sub(1, std::memory_order_acq_rel);
-    if (commit_ts != nullptr) *commit_ts = ts;
-    return Status::OK();
-  }
-  // Serial path. The whole commit — tick, stamps, index hooks, publish —
-  // runs under commit_mu_: the paper's model is a SINGLE updater (section
-  // 4.1), and serializing commits makes timestamp order equal commit
-  // order. That is what keeps every secondary-index Put monotone and
-  // guarantees a time split can never choose a boundary above a
-  // still-in-flight commit timestamp. Updaters may still build
-  // transactions concurrently (Put phases interleave under the key-lock
-  // table); only the commit point is serial.
-  std::unique_lock<std::mutex> commit_lock(commit_mu_);
-  commit_cv_.wait(commit_lock, [&] { return !frozen_; });
-  if (gate_) TSB_RETURN_IF_ERROR(gate_());
-  if (hook_ && tree_->options().concurrent_writers) {
-    // Concurrent mode was requested but index maintenance forces the
-    // serial path — make the fallback observable (ROADMAP carry-over).
-    serial_fallback_commits_.fetch_add(1, std::memory_order_relaxed);
-  }
   const Timestamp ts = external_ts != 0 ? external_ts
                        : ledger_ != nullptr ? ledger_->TickCommit()
                                             : tree_->clock().Tick();
   uint64_t wal_end_lsn = 0;
   if (wal_ != nullptr) {
-    // Append failure aborts before any stamp: the transaction stays
-    // active and abortable, nothing is torn — but the log itself is
-    // sick: escalate.
+    // Log BEFORE entering inflight_: append order under commit_mu_ ==
+    // timestamp order, so replay reproduces the one serialization the
+    // watermark could have published. (Cross-shard slices may land out of
+    // global ts order in a SHARD's log, but per key the lock table
+    // serializes writers, so per-key order — all replay depends on — still
+    // holds.) An append failure aborts the commit before any stamp — the
+    // transaction stays active and abortable, nothing is torn — but the
+    // log itself is sick: escalate.
     Status append_status = wal_->AppendCommit(ts, txn->writes_, &wal_end_lsn);
     if (!append_status.ok()) {
       commit_lock.unlock();
@@ -230,18 +145,20 @@ Status TxnManager::CommitInternal(Transaction* txn, Timestamp* commit_ts,
     }
     wal_appended_lsn_.store(wal_end_lsn, std::memory_order_release);
   }
-  Status status;
+  inflight_.insert(ts);
   // Capture the previous committed versions for the hook BEFORE any
   // stamping — and only when a hook is installed (no secondary indexes =
   // no pre-commit read descents at all).
   std::vector<std::pair<bool, std::string>> old_values;
-  if (hook_) {
+  if (ordered) {
     old_values.reserve(txn->writes_.size());
     for (const auto& [key, value] : txn->writes_) {
       std::string old_value;
       const bool had_old = tree_->GetCurrent(key, &old_value).ok();
       old_values.emplace_back(had_old, std::move(old_value));
     }
+  } else {
+    commit_lock.unlock();
   }
   // Batched stamping: writes_ is a std::map, so the keys arrive sorted
   // and every key landing on the same leaf is stamped in one descent
@@ -249,14 +166,15 @@ Status TxnManager::CommitInternal(Transaction* txn, Timestamp* commit_ts,
   std::vector<Slice> keys;
   keys.reserve(txn->writes_.size());
   for (const auto& [key, value] : txn->writes_) keys.emplace_back(key);
-  status = tree_->StampCommittedBatch(keys, txn->id_, ts);
+  Status status = tree_->StampCommittedBatch(keys, txn->id_, ts);
   if (status.ok() && wal_ != nullptr) {
-    // Serial path: the sync runs under commit_mu_, so there is nothing to
-    // amortize against — group commit only pays off on the concurrent
-    // path, where syncs rendezvous outside the mutex.
+    // Group-commit rendezvous, while this commit is STILL in inflight_:
+    // the watermark cannot publish past a commit whose durability is
+    // unresolved, so an fdatasync failure can poison before any reader
+    // observed the stamp.
     status = wal_->Sync(wal_end_lsn);
   }
-  if (status.ok() && hook_) {
+  if (status.ok() && ordered) {
     size_t i = 0;
     for (const auto& [key, value] : txn->writes_) {
       status = hook_(key, old_values[i].first ? &old_values[i].second : nullptr,
@@ -265,6 +183,9 @@ Status TxnManager::CommitInternal(Transaction* txn, Timestamp* commit_ts,
       ++i;
     }
   }
+  if (!ordered) commit_lock.lock();
+  inflight_.erase(ts);
+  if (frozen_ && inflight_.empty()) commit_cv_.notify_all();
   if (!status.ok()) {
     // A storage/hook error mid-commit may leave partial stamps behind.
     // Those must never become reader-visible: poison the watermark so no
@@ -284,14 +205,19 @@ Status TxnManager::CommitInternal(Transaction* txn, Timestamp* commit_ts,
     if (reporter_) reporter_("commit", status);
     return status;
   }
+  if (completed_max_ < ts) completed_max_ = ts;
+  Timestamp publish =
+      inflight_.empty() ? completed_max_ : *inflight_.begin() - 1;
+  if (publish > publish_cap_) publish = publish_cap_;
+  commit_lock.unlock();
   // Publish only once every key is stamped AND every secondary index is
   // maintained: readers at the watermark see whole transactions or
   // nothing (paper section 4.1).
   if (external_ts == 0) {
     if (ledger_ != nullptr) {
-      ledger_->EndCommit(ts);
+      ledger_->EndCommit(ts);  // global ordered prefix; publishes inside
     } else {
-      tree_->clock().Publish(ts < publish_cap_ ? ts : publish_cap_);
+      tree_->clock().Publish(publish);  // monotone CAS-max inside
     }
   }
   UnlockKeys(*txn);

@@ -45,7 +45,7 @@ class TxnManager;
 /// Commit or Abort (destruction aborts a still-active transaction).
 /// A Transaction object belongs to one thread; different transactions may
 /// run on different threads concurrently (first-writer-wins key locks
-/// resolve conflicts, the tree serializes page mutations internally).
+/// resolve conflicts, the tree latches page mutations internally).
 class Transaction {
  public:
   ~Transaction();
@@ -154,9 +154,9 @@ class TxnManager {
 
   /// Not thread-safe relative to in-flight commits; install before
   /// concurrent use (the DB layer does this when the first secondary
-  /// index is registered). A hook also forces commits back onto the
-  /// serial path even when the tree runs with concurrent_writers: index
-  /// maintenance must apply in timestamp order.
+  /// index is registered). With a hook every commit holds the commit
+  /// mutex through stamping and the hook, so commits apply one at a time:
+  /// index maintenance must apply in timestamp order.
   void SetCommitHook(CommitHook hook) { hook_ = std::move(hook); }
 
   /// Installs the write-ahead log every commit appends to before
@@ -220,11 +220,11 @@ class TxnManager {
   /// is re-applied from the coordinator log before the pin lifts).
   Status CommitPrepared(Transaction* txn, Timestamp ts);
 
-  /// Commits forced onto the serial stamping path while the tree ran
-  /// with concurrent_writers (a commit hook — secondary-index
-  /// maintenance — requires timestamp-ordered application). A growing
-  /// counter on an indexed workload is the signal that indexed commits
-  /// are the write-scaling bottleneck (ROADMAP carry-over).
+  /// Commits that held the commit mutex through stamping because a
+  /// commit hook (secondary-index maintenance) was installed: the hook
+  /// requires timestamp-ordered application, so these commits did not
+  /// stamp in parallel. A growing counter on an indexed workload is the
+  /// signal that indexed commits are the write-scaling bottleneck.
   uint64_t serial_fallback_commits() const {
     return serial_fallback_commits_.load(std::memory_order_relaxed);
   }
@@ -283,11 +283,9 @@ class TxnManager {
   std::atomic<size_t> active_count_{0};
   std::mutex lock_mu_;  // guards lock_table_
   std::map<std::string, TxnId> lock_table_;
-  // Serial mode: serializes the commit point (tick -> stamps -> hooks ->
-  // publish); see CommitTxn. Concurrent mode (tree option
-  // concurrent_writers, no hook): guards only the inflight set around the
-  // stamping phase, which runs unlocked. Always guards publish_cap_,
-  // inflight_ and completed_max_.
+  // Serializes the tick and the log append, and guards publish_cap_,
+  // inflight_ and completed_max_; the stamping phase runs unlocked unless
+  // a commit hook is installed (see CommitInternal).
   std::mutex commit_mu_;
   /// Signals commit starts blocked by a freeze and the freezer's drain
   /// wait; guarded by commit_mu_.

@@ -13,13 +13,16 @@
 //    version timestamp <= T, even when splits restructure the tree mid
 //    scan;
 //  - a history-range scan over a window below the watermark returns the
-//    same records no matter what concurrent writers split meanwhile.
+//    same records no matter what concurrent writers split meanwhile;
+//  - a writer that overfills a single-key leaf while an in-flight commit
+//    holds the watermark back waits for the watermark instead of failing.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <memory>
 #include <string>
 #include <thread>
@@ -31,6 +34,8 @@
 #include "storage/file_device.h"
 #include "storage/mem_device.h"
 #include "tsb/cursor.h"
+#include "tsb/tree_check.h"
+#include "txn/commit_ledger.h"
 
 namespace tsb {
 namespace {
@@ -63,12 +68,10 @@ struct Fixture {
   MemDevice optical{DeviceKind::kOpticalErasable, CostParams::OpticalWorm()};
   std::unique_ptr<db::MultiVersionDB> db;
 
-  explicit Fixture(uint32_t page_size = 1024, size_t frames = 64,
-                   bool concurrent_writers = false) {
+  explicit Fixture(uint32_t page_size = 1024, size_t frames = 64) {
     db::DbOptions options;
     options.tree.page_size = page_size;
     options.tree.buffer_pool_frames = frames;
-    options.tree.concurrent_writers = concurrent_writers;
     Status s = db::MultiVersionDB::Open(&magnetic, &optical, options, &db);
     EXPECT_TRUE(s.ok()) << s.ToString();
   }
@@ -227,7 +230,7 @@ bool SameRecords(const VersionRecords& a, const VersionRecords& b) {
 // inserting new ones between them), every scan must equal the oracle
 // built from the commit log before the writers began.
 TEST(ConcurrencyTest, HistoryRangeScansStayExactUnderConcurrentWriters) {
-  Fixture f(/*page_size=*/512, /*frames=*/64, /*concurrent_writers=*/true);
+  Fixture f(/*page_size=*/512, /*frames=*/64);
   constexpr int kKeys = 60;
   constexpr int kSeedRounds = 6;
   constexpr int kWriters = 3;
@@ -346,6 +349,65 @@ TEST(ConcurrencyTest, HistoryRangeScansStayExactUnderConcurrentWriters) {
 // on invalidation. Under a splitting writer, a backward walk taken inside
 // one read snapshot must equal the reversed forward walk of the SAME
 // snapshot — exact count, exact order, no version from the future.
+// Watermark-lag regression. While a commit is in flight the published
+// watermark stays below it, and a time split never picks a boundary above
+// the published watermark. A writer that overfills a single-key leaf
+// meanwhile (no key split possible, no version old enough to migrate)
+// must wait for the watermark, then finish once the in-flight commit
+// publishes — not fail with OutOfSpace.
+TEST(ConcurrencyTest, HotKeyWriterWaitsForLaggingWatermark) {
+  Fixture f(/*page_size=*/512, /*frames=*/64);
+  tsb_tree::TsbTree* tree = f.db->primary();
+  txn::CommitLedger ledger(&tree->clock());
+  f.db->txn_manager()->SetLedger(&ledger);
+  const Timestamp held = ledger.TickCommit();  // in flight until EndCommit
+
+  constexpr int kVersions = 40;
+  std::atomic<int> done{0};
+  Status failure;
+  std::thread writer([&] {
+    for (int i = 0; i < kVersions; ++i) {
+      Status s = f.db->Put("hot", ValueOf("hot", i));
+      if (!s.ok()) {
+        failure = s;
+        return;
+      }
+      done.fetch_add(1, std::memory_order_release);
+    }
+  });
+
+  // Wait until the writer stops making progress: it is parked on the
+  // watermark (or has failed, which the checks below report).
+  int last = -1;
+  auto unchanged_since = std::chrono::steady_clock::now();
+  for (;;) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    const int now = done.load(std::memory_order_acquire);
+    if (now != last) {
+      last = now;
+      unchanged_since = std::chrono::steady_clock::now();
+    } else if (now == kVersions || std::chrono::steady_clock::now() -
+                                           unchanged_since >
+                                       std::chrono::milliseconds(200)) {
+      break;
+    }
+  }
+  EXPECT_LT(done.load(), kVersions) << "the full leaf never waited";
+  EXPECT_LT(tree->VisibleNow(), held);
+
+  ledger.EndCommit(held);
+  writer.join();
+  ASSERT_TRUE(failure.ok()) << failure.ToString();
+  EXPECT_EQ(kVersions, done.load());
+  EXPECT_GT(uint64_t{tree->counters().data_time_splits}, 0u);
+  std::string value;
+  ASSERT_TRUE(f.db->Get(db::ReadOptions(), "hot", &value).ok());
+  EXPECT_EQ(ValueOf("hot", kVersions - 1), value);
+  tsb_tree::TreeChecker checker(tree);
+  EXPECT_TRUE(checker.Check().ok());
+  f.db->txn_manager()->SetLedger(nullptr);
+}
+
 TEST(ConcurrencyTest, ReverseScansMatchReversedForwardUnderSplits) {
   Fixture f;
   constexpr int kKeys = 150;

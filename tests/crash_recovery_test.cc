@@ -191,7 +191,6 @@ int CrashRecoveryTest::counter_ = 0;
 
 TEST_F(CrashRecoveryTest, KillDuringConcurrentWritesLosesNoAckedCommit) {
   DbOptions opts = SmallPageOptions();
-  opts.tree.concurrent_writers = true;
   std::mt19937 rng(20260808);
   for (int cycle = 0; cycle < 6; ++cycle) {
     std::uniform_int_distribution<int> run_ms(20, 160);
@@ -306,6 +305,41 @@ TEST_F(CrashRecoveryTest, UncommittedGhostsArePurged) {
   ASSERT_TRUE(db->Begin(&probe).ok());
   EXPECT_TRUE(probe->Get("ghost", &value).IsNotFound());
   probe->Abort();
+  tsb_tree::TreeChecker checker(db->primary());
+  EXPECT_TRUE(checker.Check().ok());
+}
+
+// A crash image whose log holds many versions of ONE key. Time splits cap
+// their boundary at the published watermark, so replay has to advance the
+// watermark as frames apply; otherwise no replayed version could migrate
+// and the key's versions would overflow its page, failing Open.
+TEST_F(CrashRecoveryTest, ManyVersionsOfOneKeyReplayAfterCrash) {
+  DbOptions opts = SmallPageOptions();
+  constexpr int kVersions = 60;
+  const pid_t pid = ::fork();
+  if (pid == 0) {
+    std::unique_ptr<MultiVersionDB> db;
+    if (!MultiVersionDB::Open(path_, opts, &db).ok()) ::_exit(2);
+    for (int i = 0; i < kVersions; ++i) {
+      if (!db->Put("hot", Value(0, i)).ok()) ::_exit(3);
+    }
+    ::_exit(0);  // no close: only the log holds the versions
+  }
+  int wstatus = 0;
+  ::waitpid(pid, &wstatus, 0);
+  ASSERT_TRUE(WIFEXITED(wstatus) && WEXITSTATUS(wstatus) == 0) << wstatus;
+  std::unique_ptr<MultiVersionDB> db;
+  Status s = MultiVersionDB::Open(path_, opts, &db);
+  ASSERT_TRUE(s.ok()) << s.ToString();
+  EXPECT_EQ(uint64_t{kVersions}, db->recovery_stats().frames_replayed);
+  // Autocommit timestamps start at 1: version i committed at i + 1.
+  for (int i = 0; i < kVersions; ++i) {
+    ReadOptions at;
+    at.as_of = static_cast<Timestamp>(i + 1);
+    std::string value;
+    ASSERT_TRUE(db->Get(at, "hot", &value).ok()) << i;
+    EXPECT_EQ(Value(0, i), value);
+  }
   tsb_tree::TreeChecker checker(db->primary());
   EXPECT_TRUE(checker.Check().ok());
 }

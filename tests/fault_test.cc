@@ -403,7 +403,6 @@ class DegradedModeTest : public ::testing::Test {
 // after heal + Resume + reopen, none of those commits ever surfaces.
 TEST_F(DegradedModeTest, GroupCommitSyncFailureAcksNothing) {
   DbOptions o = Options();
-  o.tree.concurrent_writers = true;
   OpenDb(o);
   constexpr int kBase = 10;
   PutBaseline(kBase);

@@ -375,7 +375,6 @@ TEST_F(ScrubDbTest, HistoricalRotIsStickyDetected) {
 
 TEST_F(ScrubDbTest, FreshFaultDuringResumeRedegrades) {
   DbOptions o = Options();
-  o.tree.concurrent_writers = true;
   OpenDb(o);
   SeedTwoGenerations(20);
   // Degrade via a failed group-commit fdatasync (transient).
@@ -483,6 +482,45 @@ TEST_F(ScrubDbTest, SalvageRecoversEverythingStillChecksummed) {
     std::string v;
     ASSERT_TRUE(doctored->Get(ReadOptions(), Key(i), &v).ok()) << Key(i);
     EXPECT_EQ((i % 2 == 0 ? "gen1-" : "gen0-") + std::to_string(i), v);
+  }
+  doctored.reset();
+  MultiVersionDB::Destroy(dst);
+}
+
+// Salvage replays oldest-first into a fresh database whose time splits cap
+// at the published watermark. It must publish each commit as it lands, or
+// many versions of one key overflow their page and salvage fails.
+TEST_F(ScrubDbTest, SalvageReplaysManyVersionsOfOneKey) {
+  OpenDb(Options());
+  constexpr int kVersions = 60;
+  std::vector<Timestamp> ts(kVersions);
+  for (int i = 0; i < kVersions; ++i) {
+    ASSERT_TRUE(db_->Put("hot", "version-" + std::to_string(i) +
+                                    "-padding-so-few-versions-fit-a-page",
+                         &ts[i])
+                    .ok());
+  }
+  db_.reset();  // clean close
+
+  const std::string dst = path_ + ".salvaged";
+  MultiVersionDB::Destroy(dst);
+  SalvageReport report;
+  Status s = SalvageDatabase(path_, dst, SalvageOptions(), &report);
+  ASSERT_TRUE(s.ok()) << s.ToString();
+  EXPECT_EQ(uint64_t{kVersions}, report.commits_replayed);
+
+  DbOptions plain;
+  plain.tree.page_size = 512;
+  std::unique_ptr<MultiVersionDB> doctored;
+  ASSERT_TRUE(MultiVersionDB::Open(dst, plain, &doctored).ok());
+  for (int i = 0; i < kVersions; ++i) {
+    ReadOptions at;
+    at.as_of = ts[i];
+    std::string v;
+    ASSERT_TRUE(doctored->Get(at, "hot", &v).ok()) << i;
+    EXPECT_EQ("version-" + std::to_string(i) +
+                  "-padding-so-few-versions-fit-a-page",
+              v);
   }
   doctored.reset();
   MultiVersionDB::Destroy(dst);

@@ -1,6 +1,5 @@
-// N-writer stress for the optimistic-latch-coupling write path
-// (TsbOptions::concurrent_writers): parallel committing writers against the
-// full stack — MultiVersionDB → TxnManager → TsbTree — with pages small
+// N-writer stress for the optimistic-latch-coupling write path: parallel
+// committing writers against the full stack — MultiVersionDB → TxnManager → TsbTree — with pages small
 // enough that key splits and time splits fire constantly under the
 // descents. A ThreadSanitizer target alongside concurrency_test.
 //
@@ -13,8 +12,8 @@
 //  - commit-log oracle: a multi-key transaction is all-or-nothing at every
 //    timestamp — as of its commit time every key carries its tag, one tick
 //    earlier none do;
-//  - single-writer mode: the OLC restart/side-step counters stay zero
-//    (the optimistic machinery is genuinely gated off).
+//  - indexed commits: a commit hook makes every commit hold the commit
+//    mutex through stamping, and the fallback counter says so.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -50,19 +49,17 @@ struct Fixture {
   MemDevice optical{DeviceKind::kOpticalErasable, CostParams::OpticalWorm()};
   std::unique_ptr<db::MultiVersionDB> db;
 
-  explicit Fixture(bool concurrent, uint32_t page_size = 1024,
-                   size_t frames = 128) {
+  explicit Fixture(uint32_t page_size = 1024, size_t frames = 128) {
     db::DbOptions options;
     options.tree.page_size = page_size;
     options.tree.buffer_pool_frames = frames;
-    options.tree.concurrent_writers = concurrent;
     Status s = db::MultiVersionDB::Open(&magnetic, &optical, options, &db);
     EXPECT_TRUE(s.ok()) << s.ToString();
   }
 };
 
 TEST(WriterStressTest, DisjointWritersScaleUnderForcedSplits) {
-  Fixture f(/*concurrent=*/true);
+  Fixture f;
   constexpr int kWriters = 4;
   constexpr int kKeysPerWriter = 20;
   constexpr int kOpsPerWriter = 250;
@@ -152,7 +149,7 @@ TEST(WriterStressTest, DisjointWritersScaleUnderForcedSplits) {
 }
 
 TEST(WriterStressTest, OverlappingWritersConflictCleanly) {
-  Fixture f(/*concurrent=*/true);
+  Fixture f;
   constexpr int kWriters = 4;
   constexpr int kKeys = 16;  // small: heavy overlap
   constexpr int kOpsPerWriter = 200;
@@ -199,7 +196,7 @@ TEST(WriterStressTest, OverlappingWritersConflictCleanly) {
 }
 
 TEST(WriterStressTest, MultiKeyCommitsAreAllOrNothingAtEveryTimestamp) {
-  Fixture f(/*concurrent=*/true);
+  Fixture f;
   constexpr int kWriters = 4;
   constexpr int kKeys = 60;
   constexpr int kTxnsPerWriter = 60;
@@ -267,41 +264,13 @@ TEST(WriterStressTest, MultiKeyCommitsAreAllOrNothingAtEveryTimestamp) {
   }
 }
 
-TEST(WriterStressTest, SingleWriterModeNeverTouchesOlcMachinery) {
-  Fixture f(/*concurrent=*/false);
-  constexpr int kThreads = 4;
-  constexpr int kOpsPerThread = 150;
-
-  std::vector<std::thread> writers;
-  std::atomic<int> failures{0};
-  for (int w = 0; w < kThreads; ++w) {
-    writers.emplace_back([&, w] {
-      for (int op = 0; op < kOpsPerThread; ++op) {
-        const int ki = w * kOpsPerThread + op;  // disjoint: all must land
-        Status s = f.db->Put(KeyOf(ki % 200), ValueOf(w, op));
-        if (!s.ok() && !s.IsTxnConflict()) {
-          ADD_FAILURE() << s.ToString();
-          failures.fetch_add(1);
-          return;
-        }
-      }
-    });
-  }
-  for (auto& t : writers) t.join();
-  ASSERT_EQ(failures.load(), 0);
-  // Multi-threaded use is legal in single-writer mode — it serializes on
-  // the writer mutex — and the optimistic path must stay cold.
-  EXPECT_EQ(uint64_t{f.db->primary()->counters().olc_restarts}, 0u);
-  EXPECT_EQ(uint64_t{f.db->primary()->counters().olc_sidesteps}, 0u);
-}
-
 TEST(WriterStressTest, IndexedCommitsTakeTheObservableSerialFallback) {
-  // Plain concurrent workload: no commit hook, so the concurrent stamping
-  // path handles everything and the fallback counter stays cold.
+  // Plain concurrent workload: no commit hook, so commits stamp in
+  // parallel and the fallback counter stays cold.
   constexpr int kThreads = 4;
   constexpr int kOpsPerThread = 100;
   {
-    Fixture f(/*concurrent=*/true);
+    Fixture f;
     std::vector<std::thread> writers;
     for (int w = 0; w < kThreads; ++w) {
       writers.emplace_back([&, w] {
@@ -316,12 +285,12 @@ TEST(WriterStressTest, IndexedCommitsTakeTheObservableSerialFallback) {
   }
 
   // The same workload with a secondary index: maintenance requires
-  // timestamp-ordered application, so EVERY commit is forced onto the
-  // serial path — and the counter says so, one tick per commit. This is
-  // the observable cost of indexing under concurrent_writers (the
-  // write-scaling bottleneck the ROADMAP tracks).
+  // timestamp-ordered application, so EVERY commit holds the commit mutex
+  // through stamping and the hook — and the counter says so, one tick per
+  // commit. This is the observable cost of indexing (the write-scaling
+  // bottleneck the ROADMAP tracks).
   {
-    Fixture f(/*concurrent=*/true);
+    Fixture f;
     ASSERT_TRUE(f.db->CreateSecondaryIndex(
                         "by_writer",
                         [](const Slice& value) -> std::optional<std::string> {
@@ -343,7 +312,7 @@ TEST(WriterStressTest, IndexedCommitsTakeTheObservableSerialFallback) {
     for (auto& t : writers) t.join();
     EXPECT_EQ(uint64_t{kThreads * kOpsPerThread},
               f.db->txn_manager()->serial_fallback_commits());
-    // The serial fallback kept the index coherent: every record is
+    // The ordered commits kept the index coherent: every record is
     // reachable through its writer's index key.
     for (int w = 0; w < kThreads; ++w) {
       std::vector<std::pair<std::string, std::string>> hits;
